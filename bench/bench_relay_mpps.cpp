@@ -4,11 +4,10 @@
 //
 //  * mpps sweep (single core) -- pre-records authentic ALPHA-C traffic
 //    (engine-generated S1/A1/S2 rounds, round-robin interleaved across the
-//    associations to defeat cache locality), then replays the identical
-//    schedule through the scalar RelayEngine and through RelayPipeline at
-//    several flush sizes, timing verify-and-forward wall clock. Generation
+//    associations to defeat cache locality), then replays the schedule
+//    through RelayEngine, timing verify-and-forward wall clock. Generation
 //    is outside the timed window; the replay is single-threaded, so the
-//    rates are per core. The batched/scalar margin is recorded per row.
+//    rates are per core.
 //
 //  * worker sweep -- a ShardedNode relay between two end nodes on real UDP
 //    loopback, relay bindings sharded by assoc id across 1/2/4 workers.
@@ -35,7 +34,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/relay_pipeline.hpp"
+#include "core/relay.hpp"
 #include "core/sharded_node.hpp"
 #include "crypto/sha1.hpp"
 #include "net/transport.hpp"
@@ -177,18 +176,16 @@ std::vector<Item> build_schedule(const std::vector<AssocTraffic>& assocs,
 
 struct MppsRow {
   std::size_t assocs = 0;
-  std::size_t batch = 0;  // 0 = scalar RelayEngine
   std::size_t frames = 0;
   std::uint64_t forwarded = 0;
   std::uint64_t dropped = 0;
   double wall_s = 0;
   double pkts_per_s = 0;
-  double speedup_vs_scalar = 0;  // batched rows only
 };
 
-MppsRow replay_scalar(const core::Config& config,
-                      const std::vector<AssocTraffic>& assocs,
-                      const std::vector<Item>& schedule) {
+MppsRow replay(const core::Config& config,
+               const std::vector<AssocTraffic>& assocs,
+               const std::vector<Item>& schedule) {
   core::RelayEngine::Callbacks cb;
   cb.forward = [](core::Direction, crypto::ByteView) {};
   core::RelayEngine relay{config, {}, std::move(cb)};
@@ -206,34 +203,6 @@ MppsRow replay_scalar(const core::Config& config,
   row.forwarded = relay.stats().forwarded - before;
   row.dropped = relay.stats().dropped_invalid +
                 relay.stats().dropped_unsolicited;
-  row.pkts_per_s = row.wall_s > 0 ? row.frames / row.wall_s : 0;
-  return row;
-}
-
-MppsRow replay_batched(const core::Config& config,
-                       const std::vector<AssocTraffic>& assocs,
-                       const std::vector<Item>& schedule, std::size_t batch) {
-  core::RelayPipeline::Callbacks cb;
-  cb.forward_batch = [](const core::RelayPipeline::ForwardItem*,
-                        std::size_t) {};
-  core::RelayPipeline pipe{config, {}, std::move(cb), batch};
-  for (const auto& a : assocs) {
-    pipe.enqueue(core::Direction::kForward, a.hs1);
-    pipe.enqueue(core::Direction::kReverse, a.hs2);
-  }
-  pipe.flush();
-  const std::uint64_t before = pipe.stats().forwarded;
-  const auto t0 = WallClock::now();
-  for (const auto& it : schedule) pipe.enqueue(it.dir, *it.frame);
-  pipe.flush();
-  MppsRow row;
-  row.wall_s = seconds_since(t0);
-  row.assocs = assocs.size();
-  row.batch = batch;
-  row.frames = schedule.size();
-  row.forwarded = pipe.stats().forwarded - before;
-  row.dropped = pipe.stats().dropped_invalid +
-                pipe.stats().dropped_unsolicited;
   row.pkts_per_s = row.wall_s > 0 ? row.frames / row.wall_s : 0;
   return row;
 }
@@ -278,8 +247,7 @@ WorkerRow run_worker_sweep(std::uint32_t relay_workers, std::size_t assocs,
   for (std::size_t i = 0; i < assocs; ++i) {
     ids[i] = static_cast<std::uint32_t>(i + 1);
   }
-  relay.add_relay(/*upstream=*/port_a, /*downstream=*/port_b, ids,
-                  /*relay_batch=*/32);
+  relay.add_relay(/*upstream=*/port_a, /*downstream=*/port_b, ids);
 
   core::ShardedNode::Options a_opts;
   a_opts.shard.config = config;
@@ -342,8 +310,8 @@ WorkerRow run_worker_sweep(std::uint32_t relay_workers, std::size_t assocs,
   row.relay_fwd_per_s =
       row.wall_s > 0 ? static_cast<double>(row.relay_forwarded) / row.wall_s
                      : 0;
-  // quantile() returns NaN on an empty histogram (scalar relays do not
-  // record batch timings); 0 keeps the JSON artifact numeric.
+  // quantile() returns NaN on an empty histogram (a run that relayed
+  // nothing); 0 keeps the JSON artifact numeric.
   row.verify_batch_p50_ns = snap.relay.verify_batch_ns.count() > 0
                                 ? snap.relay.verify_batch_ns.quantile(0.5)
                                 : 0.0;
@@ -393,23 +361,23 @@ int main(int argc, char** argv) {
   }
 
   const unsigned hw = std::thread::hardware_concurrency();
-  header("Relay fast path: verified-and-forwarded pkts/s per core "
-         "(scalar vs batched), multi-worker relay scaling");
+  header("Relay fast path: verified-and-forwarded pkts/s per core, "
+         "multi-worker relay scaling");
   std::printf("hardware_concurrency: %u\n", hw);
 
   JsonWriter json;
   json.begin_object()
       .field("bench", "relay_mpps")
-      .field("schema_version", 1)
+      .field("schema_version", 2)
       .field("hardware_concurrency", static_cast<std::uint64_t>(hw))
       .field("round_msgs", static_cast<std::uint64_t>(kRoundMsgs));
 
   bool ok = true;
 
-  std::printf("\n%8s %8s %10s %10s %9s %14s %10s\n", "assocs", "batch",
-              "frames", "forwarded", "wall (s)", "pkts/s/core", "speedup");
+  std::printf("\n%8s %10s %10s %9s %14s\n", "assocs", "frames",
+              "forwarded", "wall (s)", "pkts/s/core");
   json.key("mpps_sweep").begin_array();
-  double best_batched_ns_per_pkt = 0;
+  double best_ns_per_pkt = 0;
   for (const std::size_t assocs : {1u, 16u, 256u}) {
     const std::size_t frames_per_round = assocs * (2 + kRoundMsgs);
     std::size_t rounds = target_frames / frames_per_round;
@@ -425,49 +393,23 @@ int main(int argc, char** argv) {
     }
     const std::vector<Item> schedule = build_schedule(traffic, rounds);
 
-    const MppsRow scalar = replay_scalar(config, traffic, schedule);
-    ok = ok && scalar.forwarded == scalar.frames && scalar.dropped == 0;
-    std::printf("%8zu %8s %10zu %10llu %9.3f %14.0f %10s\n", scalar.assocs,
-                "scalar", scalar.frames,
-                static_cast<unsigned long long>(scalar.forwarded),
-                scalar.wall_s, scalar.pkts_per_s, "1.00x");
+    const MppsRow row = replay(config, traffic, schedule);
+    ok = ok && row.forwarded == row.frames && row.dropped == 0;
+    std::printf("%8zu %10zu %10llu %9.3f %14.0f\n", row.assocs, row.frames,
+                static_cast<unsigned long long>(row.forwarded), row.wall_s,
+                row.pkts_per_s);
     json.begin_object()
-        .field("assocs", static_cast<std::uint64_t>(scalar.assocs))
-        .field("engine", "scalar")
-        .field("batch", 0)
-        .field("frames", static_cast<std::uint64_t>(scalar.frames))
-        .field("forwarded", scalar.forwarded)
-        .field("dropped", scalar.dropped)
-        .field("wall_s", scalar.wall_s)
-        .field("pkts_per_s", scalar.pkts_per_s)
+        .field("assocs", static_cast<std::uint64_t>(row.assocs))
+        .field("engine", "relay")
+        .field("frames", static_cast<std::uint64_t>(row.frames))
+        .field("forwarded", row.forwarded)
+        .field("dropped", row.dropped)
+        .field("wall_s", row.wall_s)
+        .field("pkts_per_s", row.pkts_per_s)
         .end_object();
-
-    for (const std::size_t batch : {8u, 32u, 128u}) {
-      const MppsRow b = replay_batched(config, traffic, schedule, batch);
-      const double speedup =
-          scalar.pkts_per_s > 0 ? b.pkts_per_s / scalar.pkts_per_s : 0;
-      ok = ok && b.forwarded == b.frames && b.dropped == 0;
-      std::printf("%8zu %8zu %10zu %10llu %9.3f %14.0f %9.2fx\n", b.assocs,
-                  b.batch, b.frames,
-                  static_cast<unsigned long long>(b.forwarded), b.wall_s,
-                  b.pkts_per_s, speedup);
-      json.begin_object()
-          .field("assocs", static_cast<std::uint64_t>(b.assocs))
-          .field("engine", "batched")
-          .field("batch", static_cast<std::uint64_t>(b.batch))
-          .field("frames", static_cast<std::uint64_t>(b.frames))
-          .field("forwarded", b.forwarded)
-          .field("dropped", b.dropped)
-          .field("wall_s", b.wall_s)
-          .field("pkts_per_s", b.pkts_per_s)
-          .field("speedup_vs_scalar", speedup)
-          .end_object();
-      if (b.pkts_per_s > 0 && 1e9 / b.pkts_per_s < best_batched_ns_per_pkt) {
-        best_batched_ns_per_pkt = 1e9 / b.pkts_per_s;
-      }
-      if (best_batched_ns_per_pkt == 0 && b.pkts_per_s > 0) {
-        best_batched_ns_per_pkt = 1e9 / b.pkts_per_s;
-      }
+    if (row.pkts_per_s > 0 &&
+        (best_ns_per_pkt == 0 || 1e9 / row.pkts_per_s < best_ns_per_pkt)) {
+      best_ns_per_pkt = 1e9 / row.pkts_per_s;
     }
   }
   json.end_array();
@@ -509,14 +451,14 @@ int main(int argc, char** argv) {
       platform::devices::geode_lx(),
   };
   std::printf("\nTable 5 (modern): host SHA-1(20 B) %.3f us; measured relay "
-              "cost %.0f ns/pkt (best batched row)\n",
-              host_sha1_20_us, best_batched_ns_per_pkt);
+              "cost %.0f ns/pkt (best mpps row)\n",
+              host_sha1_20_us, best_ns_per_pkt);
   json.key("table5_modern")
       .begin_object()
       .field("host_sha1_20B_us", host_sha1_20_us)
-      .field("measured_relay_ns_per_pkt", best_batched_ns_per_pkt)
+      .field("measured_relay_ns_per_pkt", best_ns_per_pkt)
       .field("measured_relay_kpps_per_core",
-             best_batched_ns_per_pkt > 0 ? 1e6 / best_batched_ns_per_pkt : 0)
+             best_ns_per_pkt > 0 ? 1e6 / best_ns_per_pkt : 0)
       .key("devices")
       .begin_array();
   std::printf("%-44s %14s %16s\n", "device", "SHA-1(20B)", "est relay kpps");
@@ -540,11 +482,11 @@ int main(int argc, char** argv) {
   }
   std::printf("\nwrote %s\n", out_path.c_str());
   std::printf(
-      "Reading: the mpps sweep replays identical engine-authentic schedules\n"
-      "through both relay paths on one core -- flat-array demux, zero-copy\n"
-      "S2 parsing and batched verification are the whole margin. The worker\n"
-      "sweep shows the same bindings sharded across cores (meaningful only\n"
-      "where hardware_concurrency provides them); table5_modern re-anchors\n"
-      "the paper's router feasibility numbers to current hash rates.\n");
+      "Reading: the mpps sweep replays engine-authentic schedules through\n"
+      "RelayEngine on one core, so it prices the per-frame verdict itself.\n"
+      "The worker sweep shows the same bindings sharded across cores\n"
+      "(meaningful only where hardware_concurrency provides them);\n"
+      "table5_modern re-anchors the paper's router feasibility numbers to\n"
+      "current hash rates.\n");
   return ok ? 0 : 1;
 }

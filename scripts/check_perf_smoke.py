@@ -30,12 +30,10 @@ extra threads only add contention, so the scaling claim is untestable there
 and the gate degrades to completeness checks.
 
 With --relay it validates a bench_relay_mpps JSON artifact
-(BENCH_relay_mpps.json): schema shape, a complete assoc x batch mpps sweep
-in which every frame was verified and forwarded with zero drops and the
-best batched row beats the scalar baseline for every assoc count (the
-whole point of the fast path -- the margin is printed), plus a complete
-1/2/4-worker relay sweep with full delivery, zero relay drops, and zero
-ring overflows. Multi-worker scaling is only enforced when the recorded
+(BENCH_relay_mpps.json): schema shape, an mpps sweep in which every frame
+was verified and forwarded with zero drops, plus a complete 1/2/4-worker
+relay sweep with full delivery, zero relay drops, and zero ring overflows.
+Multi-worker scaling is only enforced when the recorded
 hardware_concurrency is >= 4, mirroring the --sharded gate.
 
 With --adaptive it validates a bench_adaptive JSON artifact
@@ -202,7 +200,7 @@ def check_relay(path: str) -> None:
     doc = json.load(open(path))
     if doc.get("bench") != "relay_mpps":
         fail(f"{path}: bench != relay_mpps")
-    if doc.get("schema_version") != 1:
+    if doc.get("schema_version") != 2:
         fail(f"{path}: unknown schema_version {doc.get('schema_version')}")
     hw = doc.get("hardware_concurrency")
     if not isinstance(hw, int) or hw < 1:
@@ -211,33 +209,18 @@ def check_relay(path: str) -> None:
     rows = doc.get("mpps_sweep")
     if not isinstance(rows, list) or not rows:
         fail(f"{path}: empty mpps_sweep")
-    scalar = {}   # assocs -> pkts_per_s
-    batched = {}  # assocs -> best batched pkts_per_s
+    rates = []
     for row in rows:
-        for key in ("assocs", "engine", "batch", "frames", "forwarded",
-                    "dropped", "pkts_per_s"):
+        for key in ("assocs", "frames", "forwarded", "dropped", "pkts_per_s"):
             if key not in row:
                 fail(f"{path}: mpps_sweep row missing {key}")
         if row["forwarded"] != row["frames"]:
-            fail(f"{path}: {row['assocs']}-assoc {row['engine']} row "
-                 f"forwarded {row['forwarded']}/{row['frames']}")
+            fail(f"{path}: {row['assocs']}-assoc row forwarded "
+                 f"{row['forwarded']}/{row['frames']}")
         if row["dropped"] != 0:
-            fail(f"{path}: {row['assocs']}-assoc {row['engine']} row "
-                 f"dropped {row['dropped']} authentic frames")
-        a = row["assocs"]
-        if row["engine"] == "scalar":
-            scalar[a] = row["pkts_per_s"]
-        else:
-            batched[a] = max(batched.get(a, 0.0), row["pkts_per_s"])
-    if set(scalar) != set(batched) or not scalar:
-        fail(f"{path}: scalar/batched assoc counts differ "
-             f"({sorted(scalar)} vs {sorted(batched)})")
-    margins = []
-    for a in sorted(scalar):
-        if batched[a] <= scalar[a]:
-            fail(f"{path}: batched pipeline ({batched[a]:.0f} pkts/s) does "
-                 f"not beat scalar ({scalar[a]:.0f} pkts/s) at {a} assocs")
-        margins.append(f"{a} assocs: {batched[a] / scalar[a]:.2f}x")
+            fail(f"{path}: {row['assocs']}-assoc row dropped "
+                 f"{row['dropped']} authentic frames")
+        rates.append(f"{row['assocs']} assocs: {row['pkts_per_s']:.0f} pkts/s")
 
     worker_rows = doc.get("worker_sweep")
     if not isinstance(worker_rows, list) or not worker_rows:
@@ -269,8 +252,8 @@ def check_relay(path: str) -> None:
     else:
         scaling = (f"scaling not gated (hardware_concurrency={hw}; "
                    f"gate requires >= 4 cores)")
-    print(f"OK: {path} schema valid; batched beats scalar "
-          f"({', '.join(margins)}); worker sweep complete with zero drops "
+    print(f"OK: {path} schema valid; every frame forwarded "
+          f"({', '.join(rates)}); worker sweep complete with zero drops "
           f"and overflows; {scaling}")
 
 

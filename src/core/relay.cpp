@@ -1,10 +1,12 @@
 #include "core/relay.hpp"
 
+#include <chrono>
+
 #include "core/identity.hpp"
 #include "core/preack.hpp"
 #include "crypto/counter.hpp"
 #include "merkle/amt.hpp"
-#include "merkle/merkle.hpp"
+#include "trace/prof.hpp"
 
 namespace alpha::core {
 
@@ -57,15 +59,29 @@ RelayDecision RelayEngine::drop(RelayDecision decision, crypto::ByteView frame,
 }
 
 RelayDecision RelayEngine::on_frame(Direction dir, crypto::ByteView frame) {
-  const auto packet = wire::decode(frame);
-  if (!packet.has_value()) {
-    ++stats_.dropped_invalid;
-    ++stats_.dropped_by_reason[static_cast<std::size_t>(
-        trace::DropReason::kDecodeError)];
-    emit_relay_event(trace::EventKind::kPacketDropped, frame,
-                     trace::DropReason::kDecodeError);
-    return RelayDecision::kDroppedMalformed;
+  const trace::ScopedStage prof_stage(trace::Stage::kRelayVerify);
+  const auto t0 = std::chrono::steady_clock::now();
+  const RelayDecision decision = decide(dir, frame);
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  stats_.verify_batch_ns.record(static_cast<std::uint64_t>(ns));
+  ++stats_.verify_batch_frames;
+  return decision;
+}
+
+RelayDecision RelayEngine::decide(Direction dir, crypto::ByteView frame) {
+  const auto malformed = [&] {
+    return drop(RelayDecision::kDroppedMalformed, frame,
+                trace::DropReason::kDecodeError);
+  };
+  if (wire::peek_type(frame) == wire::PacketType::kS2) {
+    // Steady-state path: zero-copy parse, no heap.
+    const auto s2 = wire::parse_s2(frame);
+    return s2.has_value() ? handle_s2(dir, *s2, frame) : malformed();
   }
+  const auto packet = wire::decode(frame);
+  if (!packet.has_value()) return malformed();
   return std::visit(
       [&](const auto& p) -> RelayDecision {
         using T = std::decay_t<decltype(p)>;
@@ -75,10 +91,11 @@ RelayDecision RelayEngine::on_frame(Direction dir, crypto::ByteView frame) {
           return handle_s1(dir, p, frame);
         } else if constexpr (std::is_same_v<T, wire::A1Packet>) {
           return handle_a1(dir, p, frame);
-        } else if constexpr (std::is_same_v<T, wire::S2Packet>) {
-          return handle_s2(dir, p, frame);
-        } else {
+        } else if constexpr (std::is_same_v<T, wire::A2Packet>) {
           return handle_a2(dir, p, frame);
+        } else {
+          // S2 frames were routed to parse_s2 by their type byte above.
+          return malformed();
         }
       },
       *packet);
@@ -234,7 +251,7 @@ RelayDecision RelayEngine::handle_a1(Direction dir, const wire::A1Packet& a1,
   return forward(dir, frame);
 }
 
-RelayDecision RelayEngine::handle_s2(Direction dir, const wire::S2Packet& s2,
+RelayDecision RelayEngine::handle_s2(Direction dir, const wire::S2View& s2,
                                      crypto::ByteView frame) {
   const auto it = assocs_.find(s2.hdr.assoc_id);
   if (it == assocs_.end() || !it->second.flows[static_cast<int>(dir)].sig) {
@@ -264,7 +281,8 @@ RelayDecision RelayEngine::handle_s2(Direction dir, const wire::S2Packet& s2,
                 trace::DropReason::kStaleChainIndex);
   }
 
-  // Authenticate the disclosed MAC key.
+  // Authenticate the disclosed MAC key: the first S2 of the round pays the
+  // chain walk, every later one is a constant-time compare on the memo.
   if (round.disclosed.has_value()) {
     if (!round.disclosed->ct_equals(s2.disclosed_element)) {
       return drop(RelayDecision::kDroppedInvalid, frame,
@@ -284,20 +302,22 @@ RelayDecision RelayEngine::handle_s2(Direction dir, const wire::S2Packet& s2,
     const crypto::ScopedHashOps ops;
     const crypto::HashAlgo algo = it->second.algo;
     if (round.mode == Mode::kMerkle) {
-      if (s2.path.has_value() && s2.path->leaf_index == s2.msg_index) {
+      if (s2.has_path && s2.leaf_index == s2.msg_index) {
         const crypto::Digest leaf = crypto::hash(algo, s2.payload);
+        s2.path_into(path_scratch_);
         valid = merkle::MerkleTree::verify_keyed(
-            algo, s2.disclosed_element.view(), leaf, s2.path->to_auth_path(),
+            algo, s2.disclosed_element.view(), leaf, path_scratch_,
             round.merkle_root);
       }
     } else if (round.mode == Mode::kCumulativeMerkle) {
       const std::size_t group = s2.msg_index / round.group_size;
       const std::size_t within = s2.msg_index % round.group_size;
-      if (s2.path.has_value() && s2.path->leaf_index == within &&
+      if (s2.has_path && s2.leaf_index == within &&
           group < round.merkle_roots.size()) {
         const crypto::Digest leaf = crypto::hash(algo, s2.payload);
+        s2.path_into(path_scratch_);
         valid = merkle::MerkleTree::verify_keyed(
-            algo, s2.disclosed_element.view(), leaf, s2.path->to_auth_path(),
+            algo, s2.disclosed_element.view(), leaf, path_scratch_,
             round.merkle_roots[group]);
       }
     } else {

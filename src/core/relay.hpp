@@ -18,6 +18,15 @@
 //
 // A duplex association is two simplex flows; packet direction plus type
 // selects the flow (S1/S2 travel with the flow, A1/A2 against it).
+//
+// S2s are the steady-state traffic (one per message, against one S1/A1
+// pair per round), so they take an allocation-free path: wire::parse_s2
+// borrows the payload and {Bc} bytes from the frame, the round memoizes the
+// accepted key and its HMAC key schedule so only the first S2 of a round
+// walks the chain, and Merkle branches decode into a recycled scratch path.
+// Control frames (handshakes, S1, A1, A2) are a per-round constant and use
+// the full wire::decode. The verdicts are pinned by golden transcripts
+// (tests/core/relay_golden_test.cpp).
 #pragma once
 
 #include <functional>
@@ -28,6 +37,7 @@
 #include "core/stats.hpp"
 #include "crypto/mac.hpp"
 #include "hashchain/chain.hpp"
+#include "merkle/merkle.hpp"
 #include "trace/trace.hpp"
 #include "wire/packets.hpp"
 
@@ -77,7 +87,8 @@ class RelayEngine {
 
   RelayEngine(Config config, Options options, Callbacks callbacks);
 
-  /// Processes one frame traveling in `dir`; forwards or drops it.
+  /// Processes one frame traveling in `dir`; forwards or drops it. Each
+  /// call records its wall time in stats().verify_batch_ns (a batch of one).
   RelayDecision on_frame(Direction dir, crypto::ByteView frame);
 
   const RelayStats& stats() const noexcept { return stats_; }
@@ -132,6 +143,7 @@ class RelayEngine {
     FlowState flows[2];  // indexed by Direction
   };
 
+  RelayDecision decide(Direction dir, crypto::ByteView frame);
   RelayDecision handle_handshake(Direction dir,
                                  const wire::HandshakePacket& hs,
                                  crypto::ByteView frame);
@@ -139,7 +151,7 @@ class RelayEngine {
                           crypto::ByteView frame);
   RelayDecision handle_a1(Direction dir, const wire::A1Packet& a1,
                           crypto::ByteView frame);
-  RelayDecision handle_s2(Direction dir, const wire::S2Packet& s2,
+  RelayDecision handle_s2(Direction dir, const wire::S2View& s2,
                           crypto::ByteView frame);
   RelayDecision handle_a2(Direction dir, const wire::A2Packet& a2,
                           crypto::ByteView frame);
@@ -152,6 +164,7 @@ class RelayEngine {
   Options options_;
   Callbacks callbacks_;
   std::map<std::uint32_t, AssocState> assocs_;
+  merkle::AuthPath path_scratch_;  // recycled {Bc} decode target
   RelayStats stats_;
 };
 

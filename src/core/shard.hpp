@@ -31,7 +31,6 @@
 #include "core/adapt.hpp"
 #include "core/host.hpp"
 #include "core/relay.hpp"
-#include "core/relay_pipeline.hpp"
 #include "core/timer_wheel.hpp"
 #include "crypto/random.hpp"
 #include "net/transport.hpp"
@@ -150,7 +149,7 @@ class NodeShard {
   /// only valid for the duration of the call. Optional -- when absent,
   /// relay forwards fall back to SendFn with a copy. A ring-backed runtime
   /// (ShardedNode) installs one so verified frames go straight from the
-  /// pipeline's batch buffers into ring slots, no intermediate Bytes.
+  /// inbound ring slot into an outbound one, no intermediate Bytes.
   using SendViewFn = std::function<bool(net::PeerAddr, crypto::ByteView)>;
   /// Requests a wakeup (advance_timers call) at absolute time `at_us`.
   /// Optional: a worker loop that polls advance_timers() needs none.
@@ -171,36 +170,15 @@ class NodeShard {
   Host& add_host(std::uint32_t assoc_id, net::PeerAddr peer, bool initiator,
                  const Config& config, const Host::Options& host_options);
 
-  /// Adds a scalar relay binding verifying-and-forwarding between
-  /// `upstream` and `downstream` (see AlphaNode::add_relay). Relay state is
-  /// keyed purely by association id, so bindings shard cleanly: ShardedNode
-  /// registers one binding per shard, each seeing only the assoc-id slice
-  /// the I/O thread routes to that shard.
+  /// Adds a relay binding verifying-and-forwarding between `upstream` and
+  /// `downstream` (see AlphaNode::add_relay). Relay state is keyed purely
+  /// by association id, so bindings shard cleanly: ShardedNode registers
+  /// one binding per shard, each seeing only the assoc-id slice the I/O
+  /// thread routes to that shard.
   RelayEngine& add_relay(net::PeerAddr upstream, net::PeerAddr downstream,
                          RelayEngine::Options options,
                          ExtractFn on_extracted,
                          std::vector<std::uint32_t> assoc_ids);
-
-  /// Adds a batched relay binding: same decision procedure, but frames are
-  /// collected into verification batches of up to `batch` frames and
-  /// emitted through the (view-based) send path in one go. Partial batches
-  /// are flushed by flush_relays(), which the drive loops call at
-  /// end-of-drain, so batching adds no idle latency.
-  RelayPipeline& add_relay_pipeline(net::PeerAddr upstream,
-                                    net::PeerAddr downstream,
-                                    std::size_t batch,
-                                    RelayEngine::Options options,
-                                    ExtractFn on_extracted,
-                                    std::vector<std::uint32_t> assoc_ids);
-
-  /// Flushes every batched relay binding's pending frames.
-  void flush_relays();
-  /// Frames buffered in batched relay bindings, not yet verified.
-  std::size_t relay_pending() const noexcept;
-  /// Cross-thread mirror of relay_pending() (relaxed; owner-updated).
-  std::size_t relay_pending_relaxed() const noexcept {
-    return relay_pending_relaxed_.load(std::memory_order_relaxed);
-  }
 
   /// Initiator bootstrap: sends the HS1 and arms the retransmission timer.
   void start(std::uint32_t assoc_id, std::uint64_t now_us);
@@ -234,15 +212,6 @@ class NodeShard {
 
   std::size_t relay_count() const noexcept { return relays_.size(); }
   RelayEngine& relay(std::size_t i) { return *relays_.at(i)->engine; }
-  /// The batched pipeline of binding `i`, or nullptr if it is scalar.
-  RelayPipeline* relay_pipeline(std::size_t i) {
-    return relays_.at(i)->pipeline.get();
-  }
-  /// Stats of binding `i`, whichever engine flavor backs it.
-  const RelayStats& relay_stats(std::size_t i) const {
-    const RelayBinding& b = *relays_.at(i);
-    return b.pipeline ? b.pipeline->stats() : b.engine->stats();
-  }
 
   std::uint32_t index() const noexcept { return index_; }
   std::uint64_t tick_granularity_us() const noexcept {
@@ -290,10 +259,8 @@ class NodeShard {
     std::uint64_t adapt_last_us = 0;
   };
 
-  // Exactly one of engine/pipeline is set per binding.
   struct RelayBinding {
     std::unique_ptr<RelayEngine> engine;
-    std::unique_ptr<RelayPipeline> pipeline;
     net::PeerAddr upstream = 0;
     net::PeerAddr downstream = 0;
   };
@@ -346,7 +313,6 @@ class NodeShard {
   std::uint64_t accepted_handshakes_ = 0;
   std::uint64_t timer_fires_ = 0;
   std::atomic<std::size_t> established_relaxed_{0};
-  std::atomic<std::size_t> relay_pending_relaxed_{0};
 };
 
 }  // namespace alpha::core

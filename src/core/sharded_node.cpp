@@ -51,7 +51,7 @@ ShardedNode::ShardedNode(std::unique_ptr<net::Transport> transport,
                                 crypto::ByteView{frame.data(), frame.size()});
     };
     // The relay fast path hands frames over as borrowed views: they go
-    // straight from the pipeline's batch buffers into ring slots with no
+    // straight from the inbound ring slot into an outbound one with no
     // intermediate Bytes allocation.
     NodeShard::SendViewFn send_view = [raw](net::PeerAddr peer,
                                             crypto::ByteView frame) {
@@ -135,7 +135,6 @@ Host& ShardedNode::add_responder(std::uint32_t assoc_id, net::PeerAddr peer,
 
 void ShardedNode::add_relay(net::PeerAddr upstream, net::PeerAddr downstream,
                             std::vector<std::uint32_t> assoc_ids,
-                            std::size_t relay_batch,
                             RelayEngine::Options relay_options,
                             NodeShard::ExtractFn on_extracted) {
   if (running_.load(std::memory_order_relaxed)) {
@@ -149,14 +148,8 @@ void ShardedNode::add_relay(net::PeerAddr upstream, net::PeerAddr downstream,
     for (const std::uint32_t id : assoc_ids) {
       if (shard_for(id) == i) owned.push_back(id);
     }
-    if (relay_batch > 1) {
-      shards_[i]->node->add_relay_pipeline(upstream, downstream, relay_batch,
-                                           relay_options, on_extracted,
-                                           std::move(owned));
-    } else {
-      shards_[i]->node->add_relay(upstream, downstream, relay_options,
-                                  on_extracted, std::move(owned));
-    }
+    shards_[i]->node->add_relay(upstream, downstream, relay_options,
+                                on_extracted, std::move(owned));
   }
 }
 
@@ -322,7 +315,6 @@ std::vector<ShardedNode::ShardStats> ShardedNode::shard_stats() const {
     st.in_overflows = sh.in->overflows();
     st.out_overflows = sh.out->overflows();
     st.frames_routed = sh.frames_routed.load(std::memory_order_relaxed);
-    st.relay_pending = sh.node->relay_pending_relaxed();
     stats.push_back(st);
   }
   return stats;
@@ -373,9 +365,6 @@ void ShardedNode::drain_shard_inline(Shard& sh) {
       apply_slot(sh, *slot, slot->time_us);
       sh.in->pop();
     }
-    // End-of-drain: partial relay batches go out now, before their frames'
-    // outbound ring pass, so batching never holds a frame across polls.
-    sh.node->flush_relays();
   }
   flush_out_ring(sh);
 }
@@ -450,10 +439,6 @@ void ShardedNode::worker_loop(Shard& sh) {
         ++did;
       }
     }
-    // End-of-drain flush: full batches flushed themselves inside on_frame;
-    // whatever is left goes out before the idle nap, so batching trades no
-    // latency for its throughput.
-    sh.node->flush_relays();
     sh.node->advance_timers(transport_->now_us());
     if (did == 0) std::this_thread::sleep_for(kIdleNap);
   }

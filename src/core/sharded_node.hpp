@@ -54,9 +54,9 @@
 // thread's shard_of() demux routes every frame of an association -- and
 // therefore all of its relay state -- to one owning worker. N workers
 // verify-and-forward concurrently with zero shared state; forwarded frames
-// ride the same out-rings and sendmmsg batches as host traffic. Bindings
-// default to the batched RelayPipeline (relay_batch > 1), falling back to
-// the scalar RelayEngine for batch <= 1.
+// ride the same out-rings and sendmmsg batches as host traffic. Each binding
+// is one RelayEngine deciding frame by frame; the I/O thread's sendmmsg
+// gathering is the only batching on the path.
 #pragma once
 
 #include <atomic>
@@ -98,7 +98,6 @@ class ShardedNode {
     std::uint64_t in_overflows = 0;  // inbound frames dropped (ring full)
     std::uint64_t out_overflows = 0; // outbound frames refused (ring full)
     std::uint64_t frames_routed = 0; // inbound frames demuxed to this shard
-    std::size_t relay_pending = 0;   // frames awaiting a relay batch flush
   };
 
   /// Takes ownership of the transport. In threaded mode (transport clock is
@@ -128,12 +127,9 @@ class ShardedNode {
   /// Adds a relay binding between `upstream` and `downstream` to every
   /// shard; each shard's binding is registered for the slice of `assoc_ids`
   /// that hashes to it, so ownership matches the I/O thread's routing.
-  /// `relay_batch` > 1 selects the batched RelayPipeline with that flush
-  /// size; <= 1 selects the scalar RelayEngine. Only before the workers
-  /// launch (throws std::logic_error after).
+  /// Only before the workers launch (throws std::logic_error after).
   void add_relay(net::PeerAddr upstream, net::PeerAddr downstream,
                  std::vector<std::uint32_t> assoc_ids,
-                 std::size_t relay_batch = 32,
                  RelayEngine::Options relay_options = {},
                  NodeShard::ExtractFn on_extracted = nullptr);
 

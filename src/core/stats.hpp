@@ -63,11 +63,10 @@ struct RelayStats {
   // coarse counters stay scrape-compatible while the taxonomy explains each
   // one (exported as alpha_relay_dropped_total{reason=...}).
   std::uint64_t dropped_by_reason[trace::kDropReasonCount] = {};
-  // Verify-and-forward wall time, recorded per flush batch by the batched
-  // pipeline (scalar relays leave it empty: they are not instrumented, two
-  // clock reads per frame would dominate the ns-scale MAC check).
-  metrics::Histogram verify_batch_ns;     // ns per flushed batch
-  std::uint64_t verify_batch_frames = 0;  // frames covered by those batches
+  // Verify-and-forward wall time, recorded by RelayEngine::on_frame once
+  // per frame (a batch of one), forward callback included.
+  metrics::Histogram verify_batch_ns;     // ns per on_frame call
+  std::uint64_t verify_batch_frames = 0;  // frames covered by those samples
 };
 
 // Accumulation: a rekey retires the engines, but their counters must keep

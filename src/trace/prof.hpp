@@ -2,8 +2,8 @@
 //
 // BENCH_* regressions name a number, not a stage. The StageProfiler samples
 // hardware counters (cycles, instructions, cache misses) around the three
-// stages that dominate the hot path -- shard drain, RelayPipeline verify
-// batch, crypto chain step -- so a regression is attributable to "relay
+// stages that dominate the hot path -- shard drain, relay verify-and-
+// forward, crypto chain step -- so a regression is attributable to "relay
 // verify got 30% more cache misses", not just "ns/op went up".
 //
 // Same off-by-default discipline as the trace ring: every hook compiles to
@@ -29,7 +29,7 @@ namespace alpha::trace {
 
 enum class Stage : std::uint8_t {
   kShardDrain = 0,   // ShardedNode: one shard-queue drain pass
-  kRelayVerify = 1,  // RelayPipeline::flush() batched S2 verification
+  kRelayVerify = 1,  // RelayEngine::on_frame: one relay verdict + forward
   kChainStep = 2,    // hashchain chain step (one compression-function walk)
 };
 inline constexpr std::size_t kStageCount = 3;

@@ -39,6 +39,16 @@ Config adaptive_config() {
   return config;
 }
 
+// Messages submitted per association each virtual second. The controller
+// only reads a window as loss evidence once it holds min_window_sends wire
+// sends (Options::min_window_sends, 8): fewer is noise, and a partition's
+// sparse retransmissions must freeze the EWMA rather than move it (DESIGN.md
+// §10). Every message costs at least one initial S2 in any mode, so a burst
+// of 8 fills the window that carries it at every ladder rung.
+constexpr std::size_t kBurst = 8;
+// One burst per second from 10 s through 70 s.
+constexpr std::size_t kBursts = 61;
+
 AdaptiveController::Options controller_options() {
   AdaptiveController::Options o;
   o.interval_us = 500 * kMillisecond;
@@ -130,15 +140,15 @@ AdaptiveRunResult adaptive_run(std::uint32_t workers,
   sim.run_until(10 * kSecond);
   EXPECT_EQ(a.established_count(), ids.size());
 
-  // Steady trickle across the partition: clean windows before 30 s, pure
+  // Steady bursts across the partition: clean windows before 30 s, pure
   // retransmit pressure during it, clean recovery after.
-  int burst_no = 0;
-  for (net::SimTime t = 10 * kSecond; t <= 70 * kSecond; t += kSecond) {
+  for (std::size_t burst_no = 0; burst_no < kBursts; ++burst_no) {
     for (const auto id : ids) {
-      a.submit(id, Bytes(32, static_cast<std::uint8_t>(burst_no)));
+      for (std::size_t m = 0; m < kBurst; ++m) {
+        a.submit(id, Bytes(32, static_cast<std::uint8_t>(burst_no)));
+      }
     }
-    ++burst_no;
-    sim.run_until(t);
+    sim.run_until(10 * kSecond + burst_no * kSecond);
   }
   sim.run_until(140 * kSecond);  // drain every retransmission
 
@@ -171,7 +181,7 @@ TEST(AdaptiveDeterminismTest, ControllerConvergesAndRecovers) {
     const AssocOutcome& o = it->second;
     // Every message delivered despite the partition and the profile
     // switches it provoked.
-    EXPECT_EQ(o.delivered, 61u) << "assoc " << id;
+    EXPECT_EQ(o.delivered, kBursts * kBurst) << "assoc " << id;
     // The loop actually closed: evaluations happened, the clean warmup
     // promoted off the base rung, and the reconfigurations were applied at
     // rekey boundaries on the live association.
@@ -227,7 +237,7 @@ TEST(AdaptiveDeterminismTest, SeededChaosRunReplaysBitIdentically) {
   // vacuous) and the association survived it.
   const AssocOutcome& o = first.per_assoc.at(5);
   EXPECT_GT(o.adapt_evaluations, 10u);
-  EXPECT_EQ(o.delivered, 61u);
+  EXPECT_EQ(o.delivered, kBursts * kBurst);
 }
 
 }  // namespace

@@ -1,22 +1,21 @@
 // Zero-allocation assertions for the relay data fast path. This binary
 // replaces global operator new/delete (alloc_hook.hpp: exactly one TU per
 // binary) and proves that a steady-state S2 -- peek, zero-copy parse_s2,
-// chain accept, keyed MAC verify, forward -- costs literally zero heap
-// allocations per frame once the pipeline is warm.
+// chain accept, keyed MAC or Merkle verify, forward -- costs literally zero
+// heap allocations per frame once the relay is warm.
 //
 // Control traffic (S1/A1/A2) still goes through the allocating full decode,
-// so the measurement brackets ONLY the S2 frames: per message, the round's
-// S1 and A1 are fed outside the counted window and the S2 inside it.
+// so the measurement brackets ONLY the S2 frames: the rounds' S1s and A1s
+// are fed outside the counted window and every S2 inside it.
 #include "support/alloc_hook.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <deque>
 #include <vector>
 
 #include "core/host.hpp"
-#include "core/relay_pipeline.hpp"
+#include "core/relay.hpp"
 
 namespace alpha::core {
 namespace {
@@ -67,129 +66,73 @@ std::vector<ScheduledFrame> record_traffic(const Config& config,
   return trace;
 }
 
-TEST(RelayAllocFree, SteadyStateS2ForwardIsAllocationFree) {
-  Config config;
-  config.chain_length = 4096;  // no rekey inside the measured window
-  const int kWarmup = 8;
+bool is_s2(const ScheduledFrame& f) {
+  return wire::peek_type(f.frame) == wire::PacketType::kS2;
+}
+
+/// Replays `kWarmup + kMeasured` messages of `config` traffic through a
+/// RelayEngine and checks that each of the last kMeasured S2s was verified
+/// and forwarded at zero heap allocations.
+void expect_s2_forward_allocation_free(const Config& config) {
+  const int kWarmup = 16;
   const int kMeasured = 64;
   const auto trace = record_traffic(config, kWarmup + kMeasured);
 
   std::uint64_t forwarded = 0;
-  RelayPipeline::Callbacks cb;
-  cb.forward_batch = [&](const RelayPipeline::ForwardItem*,
-                         std::size_t count) { forwarded += count; };
-  RelayPipeline pipe(config, {}, std::move(cb), /*batch_capacity=*/16);
+  RelayEngine::Callbacks cb;
+  cb.forward = [&](Direction, ByteView) { ++forwarded; };
+  RelayEngine relay(config, {}, std::move(cb));
 
   // Split the recorded schedule at the warmup boundary: everything up to
-  // and including the kWarmup-th S2 primes the pipeline (assoc table,
-  // recycled round vectors, pending-slot buffers, MAC midstates).
+  // and including the kWarmup-th S2 primes the relay (association map,
+  // MAC midstates, the recycled Merkle scratch path).
   std::size_t split = 0;
   int s2_seen = 0;
   for (; split < trace.size() && s2_seen < kWarmup; ++split) {
-    if (wire::peek_type(trace[split].frame) == wire::PacketType::kS2) {
-      ++s2_seen;
-    }
+    if (is_s2(trace[split])) ++s2_seen;
   }
   for (std::size_t i = 0; i < split; ++i) {
-    pipe.enqueue(trace[i].dir, trace[i].frame);
-    pipe.flush();
+    relay.on_frame(trace[i].dir, trace[i].frame);
   }
 
-  // Steady state: S1/A1 control frames feed outside the counted window
-  // (their full decode allocates by design); every S2 is enqueued,
-  // flushed, and forwarded inside it.
-  const std::uint64_t forwarded_before = pipe.stats().forwarded;
+  const std::uint64_t forwarded_before = forwarded;
   std::uint64_t delta = 0;
   std::uint64_t measured_s2 = 0;
   for (std::size_t i = split; i < trace.size(); ++i) {
-    const bool is_s2 =
-        wire::peek_type(trace[i].frame) == wire::PacketType::kS2;
-    if (!is_s2) {
-      pipe.enqueue(trace[i].dir, trace[i].frame);
-      pipe.flush();
+    if (!is_s2(trace[i])) {
+      relay.on_frame(trace[i].dir, trace[i].frame);
       continue;
     }
     ++measured_s2;
     const ScopedAllocCount allocs;
-    pipe.enqueue(trace[i].dir, trace[i].frame);
-    pipe.flush();
+    relay.on_frame(trace[i].dir, trace[i].frame);
     delta += allocs.delta();
   }
 
   EXPECT_EQ(measured_s2, static_cast<std::uint64_t>(kMeasured));
-  // Every measured S2 was verified and forwarded...
-  EXPECT_EQ(pipe.stats().forwarded - forwarded_before,
-            trace.size() - split);
-  EXPECT_EQ(pipe.stats().dropped_invalid, 0u);
-  EXPECT_GT(forwarded, 0u);
-  // ...at zero heap allocations per frame.
+  // Every frame after the split, the measured S2s included, was verified
+  // and forwarded...
+  EXPECT_EQ(forwarded - forwarded_before, trace.size() - split);
+  EXPECT_EQ(relay.stats().dropped_invalid, 0u);
+  EXPECT_EQ(relay.stats().dropped_unsolicited, 0u);
+  // ...at zero heap allocations per S2.
   EXPECT_EQ(delta, 0u);
 }
 
-TEST(RelayAllocFree, BatchedS2FlushIsAllocationFree) {
-  // Same property with real batching: rounds of ALPHA-C traffic carry
-  // several S2s per S1, so whole verification batches of S2s flush inside
-  // the counted window.
+TEST(RelayAllocFree, SteadyStateS2ForwardIsAllocationFree) {
   Config config;
-  config.mode = Mode::kCumulative;
+  config.chain_length = 4096;  // no rekey inside the measured window
+  expect_s2_forward_allocation_free(config);
+}
+
+TEST(RelayAllocFree, MerkleS2ForwardIsAllocationFree) {
+  // ALPHA-M: every S2 carries its {Bc} branch set, decoded into the
+  // engine's recycled scratch path.
+  Config config;
+  config.mode = Mode::kMerkle;
   config.batch_size = 8;
   config.chain_length = 4096;
-  const int kWarmupMsgs = 16;
-  const int kMeasuredMsgs = 64;
-  const auto trace = record_traffic(config, kWarmupMsgs + kMeasuredMsgs);
-
-  RelayPipeline pipe(config, {}, {}, /*batch_capacity=*/8);
-
-  std::size_t split = 0;
-  int s2_seen = 0;
-  for (; split < trace.size() && s2_seen < kWarmupMsgs; ++split) {
-    if (wire::peek_type(trace[split].frame) == wire::PacketType::kS2) {
-      ++s2_seen;
-    }
-  }
-  for (std::size_t i = 0; i < split; ++i) {
-    pipe.enqueue(trace[i].dir, trace[i].frame);
-  }
-  pipe.flush();
-
-  // Grow every pending-slot buffer to the largest frame in the schedule:
-  // slots recycle round-robin, and a slot warmed only by a small control
-  // frame would otherwise grow inside the counted window. (The replayed
-  // frame is a duplicate S2 of a warmup round; dup-forwarding is benign.)
-  const auto& largest = *std::max_element(
-      trace.begin(), trace.end(), [](const auto& x, const auto& y) {
-        return x.frame.size() < y.frame.size();
-      });
-  for (std::size_t i = 0; i < pipe.batch_capacity(); ++i) {
-    pipe.enqueue(largest.dir, largest.frame);
-  }
-  pipe.flush();
-
-  std::uint64_t delta = 0;
-  std::size_t runs = 0;
-  for (std::size_t i = split; i < trace.size();) {
-    if (wire::peek_type(trace[i].frame) != wire::PacketType::kS2) {
-      pipe.enqueue(trace[i].dir, trace[i].frame);
-      pipe.flush();
-      ++i;
-      continue;
-    }
-    // A run of consecutive S2s: enqueue them all, flush once -- the
-    // whole batched verify must stay allocation-free.
-    const ScopedAllocCount allocs;
-    while (i < trace.size() &&
-           wire::peek_type(trace[i].frame) == wire::PacketType::kS2) {
-      pipe.enqueue(trace[i].dir, trace[i].frame);
-      ++i;
-    }
-    pipe.flush();
-    delta += allocs.delta();
-    ++runs;
-  }
-
-  EXPECT_GT(runs, 0u);
-  EXPECT_EQ(pipe.stats().dropped_invalid, 0u);
-  EXPECT_EQ(delta, 0u);
+  expect_s2_forward_allocation_free(config);
 }
 
 }  // namespace

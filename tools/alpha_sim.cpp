@@ -91,9 +91,6 @@ int main(int argc, char** argv) {
   flags.define("relay-workers", "1",
                "shard workers for interior relay nodes (>1 runs relays on "
                "the sharded runtime, bindings demuxed by assoc-id hash)");
-  flags.define("relay-batch", "1",
-               "relay S2 verification batch size (>1 selects the batched "
-               "RelayPipeline; 1 keeps the scalar RelayEngine)");
   flags.define("corrupt", "0.0", "per-link frame bit-corruption rate");
   flags.define("dup", "0.0", "per-link frame duplication rate");
   flags.define("reorder", "0.0", "per-link frame reordering rate");
@@ -133,12 +130,10 @@ int main(int argc, char** argv) {
   const auto workers = static_cast<std::uint32_t>(flags.num("workers"));
   const auto relay_workers =
       static_cast<std::uint32_t>(flags.num("relay-workers"));
-  const auto relay_batch = static_cast<std::size_t>(flags.num("relay-batch"));
-  if (hops < 1 || assocs < 1 || workers < 1 || relay_workers < 1 ||
-      relay_batch < 1) {
+  if (hops < 1 || assocs < 1 || workers < 1 || relay_workers < 1) {
     std::fprintf(stderr,
-                 "need --hops >= 1, --assocs >= 1, --workers >= 1, "
-                 "--relay-workers >= 1 and --relay-batch >= 1\n");
+                 "need --hops >= 1, --assocs >= 1, --workers >= 1 and "
+                 "--relay-workers >= 1\n");
     return 2;
   }
 
@@ -341,12 +336,11 @@ int main(int argc, char** argv) {
   core::ShardedNode initiator_node{
       std::make_unique<net::SimTransport>(network, 0), init_opts, init_cbs};
 
-  // Interior relay nodes: the scalar AlphaNode relay by default, or -- with
-  // --relay-workers/--relay-batch above 1 -- the sharded runtime with relay
-  // bindings demuxed across workers by assoc-id hash and S2 verification
-  // amortized by the batched RelayPipeline. Association ids are known up
+  // Interior relay nodes: an AlphaNode relay by default, or -- with
+  // --relay-workers above 1 -- the sharded runtime with relay bindings
+  // demuxed across workers by assoc-id hash. Association ids are known up
   // front (1..assocs), which sharded relay bindings require.
-  const bool sharded_relays = relay_workers > 1 || relay_batch > 1;
+  const bool sharded_relays = relay_workers > 1;
   std::vector<std::unique_ptr<core::AlphaNode>> relay_nodes;
   std::vector<std::unique_ptr<core::ShardedNode>> sharded_relay_nodes;
   std::vector<std::uint32_t> relay_assoc_ids;
@@ -365,7 +359,7 @@ int main(int argc, char** argv) {
       auto node = std::make_unique<core::ShardedNode>(
           std::make_unique<net::SimTransport>(network, id), ropts);
       node->add_relay(/*upstream=*/id - 1, /*downstream=*/id + 1,
-                      relay_assoc_ids, relay_batch);
+                      relay_assoc_ids);
       sharded_relay_nodes.push_back(std::move(node));
     } else {
       relay_node_opts.trace_origin = static_cast<std::uint8_t>(id);
@@ -478,8 +472,6 @@ int main(int argc, char** argv) {
             ss.out_overflows;
         registry.counter("alpha_shard_frames_routed", labels) =
             ss.frames_routed;
-        registry.counter("alpha_shard_relay_pending", labels) =
-            ss.relay_pending;
       }
     };
     fold_shards("initiator", initiator_node.shard_stats());
@@ -692,21 +684,17 @@ int main(int argc, char** argv) {
   }
   for (std::size_t i = 0; i < sharded_relay_nodes.size(); ++i) {
     const auto rs = sharded_relay_nodes[i]->snapshot();
-    std::size_t pending = 0;
-    for (const auto& ss : sharded_relay_nodes[i]->shard_stats()) {
-      pending += ss.relay_pending;
-    }
     // No wall-clock figures here: the default results table must diff
     // bit-identical across same-seed runs (verify_batch_ns is exported as
     // a histogram under --metrics instead).
     std::printf("relay %zu:        forwarded=%llu verified=%llu dropped=%llu "
-                "hash-ops=%llu workers=%u batch=%zu pending=%zu\n",
+                "hash-ops=%llu workers=%u\n",
                 i, static_cast<unsigned long long>(rs.relay.forwarded),
                 static_cast<unsigned long long>(rs.relay.messages_extracted),
                 static_cast<unsigned long long>(rs.relay.dropped_invalid +
                                                 rs.relay.dropped_unsolicited),
                 static_cast<unsigned long long>(rs.relay.hashes.total()),
-                relay_workers, relay_batch, pending);
+                relay_workers);
   }
   std::printf("runtime:        frames in=%llu out=%llu demux-misses=%llu "
               "timer-fires=%llu accepted-handshakes=%llu\n",
@@ -809,17 +797,22 @@ int main(int argc, char** argv) {
             .record(as.verifier.hashes.total() / packets);
       }
     }
-    // Relay verify-batch latency is cumulative over the run, so merge it
-    // once here rather than per scrape (merging in the refresh would
+    // Relay verify latency is cumulative over the run, so merge it once
+    // here rather than per scrape (merging in the refresh would
     // double-count samples on every poll).
+    const auto merge_verify_ns = [&](std::size_t idx,
+                                     const core::RelayStats& rs) {
+      if (rs.verify_batch_ns.count() == 0) return;
+      registry
+          .histogram("alpha_relay_verify_batch_ns",
+                     "relay=\"" + std::to_string(idx) + "\"")
+          .merge(rs.verify_batch_ns);
+    };
+    for (std::size_t i = 0; i < relay_nodes.size(); ++i) {
+      merge_verify_ns(i, relay_nodes[i]->snapshot().relay);
+    }
     for (std::size_t i = 0; i < sharded_relay_nodes.size(); ++i) {
-      const auto rs = sharded_relay_nodes[i]->snapshot();
-      if (rs.relay.verify_batch_ns.count() > 0) {
-        registry
-            .histogram("alpha_relay_verify_batch_ns",
-                       "relay=\"" + std::to_string(i) + "\"")
-            .merge(rs.relay.verify_batch_ns);
-      }
+      merge_verify_ns(i, sharded_relay_nodes[i]->snapshot().relay);
     }
     if (span_builder.min_delivery_latency_us() != trace::SpanBuilder::kUnset) {
       std::printf("spans:          rounds=%llu failed=%llu deliveries=%llu "
