@@ -22,8 +22,11 @@
 //
 //   $ bench_adaptive                   # full sweep
 //   $ bench_adaptive --out FILE.json
+//   $ bench_adaptive --flight-dir run  # + run.<scenario>/ recordings of
+//                                      #   the adaptive runs
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,6 +34,7 @@
 #include "core/adapt.hpp"
 #include "core/sharded_node.hpp"
 #include "net/network.hpp"
+#include "trace/flight.hpp"
 #include "trace/trace.hpp"
 
 using namespace alpha;
@@ -225,13 +229,7 @@ struct Row {
 };
 
 Row run_one(const Scenario& scenario, const core::Config& config,
-            bool adaptive, const std::string& trace_path = {}) {
-  // Optional decision trace for the run (alpha_inspect --adapt explains it).
-  std::optional<trace::Ring> ring;
-  if (!trace_path.empty()) {
-    ring.emplace(std::size_t{1} << 18);
-    trace::install(&*ring);
-  }
+            bool adaptive) {
   net::Simulator sim;
   net::Network network(sim, /*seed=*/1337);
   if (scenario.chaos_seed != 0) network.set_chaos_seed(scenario.chaos_seed);
@@ -327,10 +325,6 @@ Row run_one(const Scenario& scenario, const core::Config& config,
           ? static_cast<double>(row.delivered) / row.frames_sent
           : 0.0;
   row.score = row.goodput_msgs_per_s * efficiency;
-  if (ring.has_value()) {
-    trace::install(nullptr);
-    trace::write_jsonl(*ring, trace_path);
-  }
   return row;
 }
 
@@ -338,14 +332,15 @@ Row run_one(const Scenario& scenario, const core::Config& config,
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_adaptive.json";
-  std::string trace_prefix;
+  std::string flight_prefix;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_prefix = argv[++i];
+    } else if (std::strcmp(argv[i], "--flight-dir") == 0 && i + 1 < argc) {
+      flight_prefix = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--out FILE.json] [--trace PREFIX]\n",
+      std::fprintf(stderr,
+                   "usage: %s [--out FILE.json] [--flight-dir PREFIX]\n",
                    argv[0]);
       return 2;
     }
@@ -392,13 +387,28 @@ int main(int argc, char** argv) {
       const bool adaptive = i == ladder_count;
       const core::Config config =
           adaptive ? base_config() : pinned_config(i);
-      // The adaptive run optionally dumps its decision trace per scenario
-      // (explained offline via alpha_inspect --adapt).
-      std::string trace_path;
-      if (adaptive && !trace_prefix.empty()) {
-        trace_path = trace_prefix + "." + scenario.name + ".jsonl";
+      // The adaptive run is optionally recorded per scenario into
+      // PREFIX.<scenario>/ (explained offline via alpha_inspect --adapt).
+      // It logs a few thousand events, far below the ring and segment
+      // capacity, so one finalize() after the run captures them all.
+      std::optional<trace::Ring> ring;
+      std::optional<trace::FlightRecorder> flight;
+      if (adaptive && !flight_prefix.empty()) {
+        ring.emplace(std::size_t{1} << 18);
+        trace::FlightOptions fopts;
+        fopts.dir = flight_prefix + "." + scenario.name;
+        flight.emplace(fopts, &*ring);
+        if (!flight->ok()) {
+          std::fprintf(stderr, "%s\n", flight->error().c_str());
+          return 1;
+        }
+        trace::install(&*ring);
       }
-      Row row = run_one(scenario, config, adaptive, trace_path);
+      Row row = run_one(scenario, config, adaptive);
+      if (flight.has_value()) {
+        flight->finalize();
+        trace::install(nullptr);
+      }
       row.config_label =
           adaptive ? "adaptive"
                    : std::string(mode_name(config.mode)) + "/" +

@@ -35,14 +35,7 @@ SimTransport::SimTransport(Network& network, NodeId self)
     : network_(&network), self_(self) {
   network_->set_handler(self_, [this](NodeId from, crypto::ByteView frame) {
     ++frames_delivered_;
-    if (receiver_) {
-      receiver_(static_cast<PeerAddr>(from), frame);
-    } else {
-      // No push consumer: hold the frame (with its virtual arrival time)
-      // for the next recv_batch.
-      pending_.push(Buffered{static_cast<PeerAddr>(from), now_us(),
-                             crypto::Bytes(frame.begin(), frame.end())});
-    }
+    if (receiver_) receiver_(static_cast<PeerAddr>(from), frame);
   });
 }
 
@@ -68,24 +61,6 @@ std::size_t SimTransport::poll(int timeout_ms) {
 }
 
 std::uint64_t SimTransport::now_us() const { return network_->sim().now(); }
-
-std::size_t SimTransport::recv_batch(int timeout_ms, RxFrame* out,
-                                     std::size_t max) {
-  if (max == 0) return 0;
-  if (pending_.empty() && timeout_ms > 0) poll(timeout_ms);
-  drained_.clear();
-  while (!pending_.empty() && drained_.size() < max) {
-    drained_.push_back(std::move(pending_.front()));
-    pending_.pop();
-  }
-  for (std::size_t i = 0; i < drained_.size(); ++i) {
-    out[i].from = drained_[i].from;
-    out[i].recv_us = drained_[i].recv_us;
-    out[i].data = crypto::ByteView{drained_[i].data.data(),
-                                   drained_[i].data.size()};
-  }
-  return drained_.size();
-}
 
 void SimTransport::schedule(std::uint64_t at_us, std::function<void()> fn) {
   auto& sim = network_->sim();

@@ -31,8 +31,7 @@ using PeerAddr = std::uint64_t;
 /// One inbound frame returned by Transport::recv_batch. `data` views
 /// transport-owned storage valid until the next recv_batch/poll call on the
 /// same transport; `recv_us` is the arrival timestamp on the transport's
-/// clock (virtual arrival time in the simulator, batch drain time on
-/// sockets).
+/// clock (batch drain time on sockets).
 struct RxFrame {
   PeerAddr from = 0;
   std::uint64_t recv_us = 0;
@@ -74,14 +73,13 @@ class Transport {
   /// from poll(). Used by the node runtime's timer wheel.
   virtual void schedule(std::uint64_t at_us, std::function<void()> fn) = 0;
 
-  // ---- batched I/O (the sharded runtime's drive model) -------------------
+  // ---- batched I/O (the threaded sharded runtime's drive model) ----------
   //
   // recv_batch/send_batch form a pull-based alternative to the
   // set_receiver/poll push model: the caller owns the drive loop and the
   // transport amortizes per-frame cost over a batch (one recvmmsg/sendmmsg
-  // syscall on UDP, one buffered dequeue on the simulator). A transport is
-  // driven through exactly one of the two models at a time -- frames go to
-  // the receiver when one is installed, to recv_batch's buffer otherwise.
+  // syscall on UDP). Only transports with a thread-safe clock are driven
+  // this way; the simulator is always push-driven.
 
   /// Pulls up to `max` pending inbound frames, waiting up to `timeout_ms`
   /// for the first. Returns the number written to `out`; views stay valid
@@ -134,28 +132,13 @@ class SimTransport final : public Transport {
   std::uint64_t now_us() const override;
   void schedule(std::uint64_t at_us, std::function<void()> fn) override;
 
-  /// With no receiver installed, arriving frames are buffered (stamped with
-  /// their virtual arrival time). recv_batch advances virtual time by up to
-  /// `timeout_ms` only when the buffer is empty, then hands out buffered
-  /// frames in arrival order. timeout 0 = drain-only.
-  std::size_t recv_batch(int timeout_ms, RxFrame* out,
-                         std::size_t max) override;
-
   NodeId self() const noexcept { return self_; }
 
  private:
-  struct Buffered {
-    PeerAddr from;
-    std::uint64_t recv_us;
-    crypto::Bytes data;
-  };
-
   Network* network_;
   NodeId self_;
   ReceiveFn receiver_;
   std::size_t frames_delivered_ = 0;  // total, for poll() deltas
-  std::queue<Buffered> pending_;      // frames buffered for recv_batch
-  std::vector<Buffered> drained_;     // storage behind the last batch's views
 };
 
 /// Transport adapter over a real UDP socket: poll() waits for and then

@@ -12,7 +12,8 @@
 // Consumption is incremental: ingest_new() keeps a cursor on Ring::total()
 // so a live tool can stitch while the protocol runs, surviving ring wrap
 // (overwritten events are counted, not mis-read). The same builder ingests
-// decoded JSONL for offline reconstruction (alpha_inspect --spans).
+// a flight recording's events for offline reconstruction
+// (alpha_inspect --spans).
 //
 // When a metrics::Registry is attached, completed spans export per-hop and
 // per-component log2 histograms plus a minimum-delivery-latency gauge --

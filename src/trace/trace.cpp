@@ -90,57 +90,9 @@ const char* to_string(DropReason reason) noexcept {
   return "unknown";
 }
 
-EventKind kind_from_string(const std::string& s) noexcept {
-  for (const auto& entry : kKindNames) {
-    if (s == entry.name) return entry.kind;
-  }
-  return EventKind::kNone;
-}
-
-DropReason reason_from_string(const std::string& s) noexcept {
-  for (const auto& entry : kReasonNames) {
-    if (s == entry.name) return entry.reason;
-  }
-  return DropReason::kNone;
-}
-
 const char* packet_type_name(std::uint8_t type) noexcept {
   if (type >= std::size(kPacketTypeNames)) return "-";
   return kPacketTypeNames[type];
-}
-
-std::uint8_t packet_type_from_name(const std::string& s) noexcept {
-  for (std::size_t i = 1; i < std::size(kPacketTypeNames); ++i) {
-    if (s == kPacketTypeNames[i]) return static_cast<std::uint8_t>(i);
-  }
-  return 0;
-}
-
-void write_jsonl(const Ring& ring, std::FILE* out) {
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    const Event& e = ring.at(i);
-    std::fprintf(out,
-                 "{\"t\":%llu,\"origin\":%u,\"kind\":\"%s\",\"assoc\":%u,"
-                 "\"seq\":%u,\"type\":\"%s\",\"reason\":\"%s\",\"detail\":%llu",
-                 static_cast<unsigned long long>(e.time_us), e.origin,
-                 to_string(e.kind), e.assoc_id, e.seq,
-                 packet_type_name(e.packet_type), to_string(e.reason),
-                 static_cast<unsigned long long>(e.detail));
-    if (is_net_kind(e.kind)) {
-      std::fprintf(out, ",\"from\":%u,\"to\":%u,\"size\":%zu",
-                   net_detail_from(e.detail), net_detail_to(e.detail),
-                   net_detail_size(e.detail));
-    }
-    std::fputs("}\n", out);
-  }
-}
-
-bool write_jsonl(const Ring& ring, const std::string& path) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return false;
-  write_jsonl(ring, out);
-  const bool ok = std::fclose(out) == 0;
-  return ok;
 }
 
 }  // namespace alpha::trace

@@ -22,8 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -325,20 +323,11 @@ constexpr std::uint8_t adapt_detail_health(std::uint64_t d) noexcept {
   return static_cast<std::uint8_t>((d >> 58) & 0x3u);
 }
 
+/// Stable names for kinds, reasons and wire packet types: the one rendering
+/// contract of `alpha_inspect` ("unknown" / "-" for out-of-range values).
 const char* to_string(EventKind kind) noexcept;
 const char* to_string(DropReason reason) noexcept;
-/// Inverse lookups for trace decoding; kNone on unknown strings.
-EventKind kind_from_string(const std::string& s) noexcept;
-DropReason reason_from_string(const std::string& s) noexcept;
 /// Wire packet-type label ("hs1", "s1", ...); "-" for 0/unknown.
 const char* packet_type_name(std::uint8_t type) noexcept;
-/// Inverse of packet_type_name; 0 for "-" or unknown labels.
-std::uint8_t packet_type_from_name(const std::string& s) noexcept;
-
-/// Writes every retained event as one JSON object per line (JSONL).
-/// Network-kind events additionally decode detail into from/to/size fields.
-void write_jsonl(const Ring& ring, std::FILE* out);
-/// Convenience: opens `path`, writes, closes. Returns false on I/O error.
-bool write_jsonl(const Ring& ring, const std::string& path);
 
 }  // namespace alpha::trace

@@ -90,52 +90,6 @@ TEST(SimTransportTest, DestructorUnhooksNodeHandler) {
   EXPECT_NO_THROW(sim.run_until(kSecond));
 }
 
-TEST(SimTransportTest, RecvBatchBuffersFramesWhenNoReceiverInstalled) {
-  Simulator sim;
-  Network network{sim, 1};
-  network.add_node(0);
-  network.add_node(1);
-  network.add_link(0, 1);
-
-  SimTransport a{network, 0}, b{network, 1};  // b: no receiver installed
-  EXPECT_TRUE(a.send(1, Bytes{1}));
-  EXPECT_TRUE(a.send(1, Bytes{2}));
-  EXPECT_TRUE(a.send(1, Bytes{3}));
-
-  RxFrame out[8];
-  // recv_batch advances virtual time itself (timeout budget) and returns
-  // the buffered frames with their virtual arrival timestamps.
-  std::size_t got = b.recv_batch(1000, out, 8);
-  ASSERT_EQ(got, 3u);
-  for (std::size_t i = 0; i < got; ++i) {
-    EXPECT_EQ(out[i].from, 0u);
-    EXPECT_EQ(out[i].data.size(), 1u);
-    EXPECT_EQ(out[i].data[0], static_cast<std::uint8_t>(i + 1));
-    EXPECT_LE(out[i].recv_us, b.now_us());
-  }
-  EXPECT_EQ(b.recv_batch(0, out, 8), 0u);  // drained
-}
-
-TEST(SimTransportTest, RecvBatchRespectsMaxAndKeepsRemainder) {
-  Simulator sim;
-  Network network{sim, 1};
-  network.add_node(0);
-  network.add_node(1);
-  network.add_link(0, 1);
-
-  SimTransport a{network, 0}, b{network, 1};
-  for (std::uint8_t i = 0; i < 5; ++i) EXPECT_TRUE(a.send(1, Bytes{i}));
-
-  RxFrame out[8];
-  ASSERT_EQ(b.recv_batch(1000, out, 2), 2u);
-  EXPECT_EQ(out[0].data[0], 0u);
-  EXPECT_EQ(out[1].data[0], 1u);
-  // The rest stays queued; a non-blocking continuation picks it up in order.
-  ASSERT_EQ(b.recv_batch(0, out, 8), 3u);
-  EXPECT_EQ(out[0].data[0], 2u);
-  EXPECT_EQ(out[2].data[0], 4u);
-}
-
 TEST(SimTransportTest, ClockIsNotThreadSafe) {
   Simulator sim;
   Network network{sim, 1};

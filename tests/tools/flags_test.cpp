@@ -61,5 +61,14 @@ TEST(FlagsTest, BooleanDoesNotSwallowNextFlag) {
   EXPECT_EQ(f.num("count"), 9);
 }
 
+// A value flag given last is a usage error, not the string "true" (which
+// would, e.g., send --flight-dir output to a directory named `true`).
+TEST(FlagsTest, ValueFlagWithoutValueIsUsageError) {
+  char prog[] = "test", a1[] = "--verbose", a2[] = "--name";
+  char* argv[] = {prog, a1, a2};
+  EXPECT_EXIT(make().parse(3, argv), ::testing::ExitedWithCode(2),
+              "--name needs a value");
+}
+
 }  // namespace
 }  // namespace alpha::tools

@@ -1,17 +1,19 @@
 // alpha_inspect -- decode and pretty-print an ALPHA packet from hex, or
-// render a JSONL protocol event trace (alpha_sim --trace) as a
-// per-association timeline plus a drop-reason summary table, or
-// reconstruct per-round spans (waterfalls + latency quantiles) offline.
+// render a flight recording (alpha_sim --flight-dir, the one persisted trace
+// format) offline: a per-association timeline plus a drop-reason summary
+// table, per-round spans (waterfalls + latency quantiles), the adaptive
+// controller's decision log, a postmortem overview, or a clock-corrected
+// merge of recordings from several processes.
 //
 //   $ alpha_inspect --hex 0101000000010000000701...
 //   $ some_capture | alpha_inspect --stdin
-//   $ alpha_sim --trace run.jsonl ... && alpha_inspect --trace run.jsonl
-//   $ alpha_inspect --spans run.jsonl
+//   $ alpha_sim --flight-dir run ... && alpha_inspect --trace run
+//   $ alpha_inspect --spans run
+//   $ alpha_inspect --merge run_a,run_b
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
+#include <cstring>
 #include <iostream>
 #include <map>
 #include <string>
@@ -163,145 +165,99 @@ int inspect(const std::string& hex) {
   return 0;
 }
 
-// ----------------------------------------------------------- trace decode
+// ---------------------------------------------------------- event loading
 
-// One line of the JSONL schema written by trace::write_jsonl. Parsed with
-// plain string scanning: the writer emits a fixed flat object per line, so
-// a JSON library would be dead weight here.
-struct TraceLine {
-  std::uint64_t t = 0;
-  std::uint64_t origin = 0;
-  std::string kind;
-  std::uint32_t assoc = 0;
-  std::uint32_t seq = 0;
-  std::string type;
-  std::string reason;
-  std::uint64_t detail = 0;
-  bool has_net = false;
-  std::uint64_t from = 0, to = 0, size = 0;
-};
-
-std::string find_string_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return {};
-  const auto start = pos + needle.size();
-  const auto end = line.find('"', start);
-  if (end == std::string::npos) return {};
-  return line.substr(start, end - start);
-}
-
-bool find_num_field(const std::string& line, const std::string& key,
-                    std::uint64_t& out) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* p = line.c_str() + pos + needle.size();
-  if (*p < '0' || *p > '9') return false;
-  out = std::strtoull(p, nullptr, 10);
-  return true;
-}
-
-bool parse_trace_line(const std::string& line, TraceLine& ev) {
-  ev.kind = find_string_field(line, "kind");
-  if (ev.kind.empty()) return false;
-  ev.type = find_string_field(line, "type");
-  ev.reason = find_string_field(line, "reason");
-  find_num_field(line, "t", ev.t);
-  find_num_field(line, "origin", ev.origin);
-  std::uint64_t n = 0;
-  if (find_num_field(line, "assoc", n)) {
-    ev.assoc = static_cast<std::uint32_t>(n);
-  }
-  if (find_num_field(line, "seq", n)) ev.seq = static_cast<std::uint32_t>(n);
-  find_num_field(line, "detail", ev.detail);
-  ev.has_net = find_num_field(line, "from", ev.from);
-  find_num_field(line, "to", ev.to);
-  find_num_field(line, "size", ev.size);
-  return true;
-}
-
-bool load_trace(const std::string& path, std::vector<TraceLine>& events,
-                std::size_t& bad_lines) {
-  std::ifstream f{path};
-  if (!f) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
+/// The one loader behind every trace view: all events of a flight directory
+/// (alpha_sim --flight-dir), segments in (shard, segment) order and each in
+/// ring order. False, with the reason on stderr, when nothing readable is
+/// there; an empty recording loads but leaves `events` empty.
+bool read_events(const std::string& dir, trace::FlightRecording& rec,
+                 std::vector<trace::Event>& events) {
+  std::string err;
+  if (!read_flight_dir(dir, rec, &err)) {
+    std::fprintf(stderr, "%s\n", err.c_str());
     return false;
   }
-  std::string line;
-  while (std::getline(f, line)) {
-    if (line.empty()) continue;
-    TraceLine ev;
-    if (parse_trace_line(line, ev)) {
-      events.push_back(std::move(ev));
-    } else {
-      ++bad_lines;
-    }
+  events.reserve(rec.total_events());
+  for (const trace::FlightSegment& seg : rec.segments) {
+    events.insert(events.end(), seg.events.begin(), seg.events.end());
   }
   if (events.empty()) {
-    std::fprintf(stderr, "%s: no trace events\n", path.c_str());
-    return false;
+    std::fprintf(stderr, "%s: recording holds no events\n", dir.c_str());
   }
   return true;
+}
+
+// ------------------------------------------------------ timeline and drops
+
+/// One event on one line. --trace groups lines by association, so only the
+/// cross-node --merge timeline asks for the association column.
+void print_event(double t_ms, unsigned node, const trace::Event& e,
+                 bool show_assoc) {
+  std::printf("%12.3f ms  node %-3u %-18s", t_ms, node,
+              trace::to_string(e.kind));
+  const char* type = trace::packet_type_name(e.packet_type);
+  if (std::strcmp(type, "-") != 0) {
+    std::printf(" %-3s", type);
+  } else {
+    std::printf("    ");
+  }
+  if (show_assoc) std::printf(" assoc=%u", e.assoc_id);
+  std::printf(" seq=%u", e.seq);
+  if (e.reason != trace::DropReason::kNone) {
+    std::printf(" reason=%s", trace::to_string(e.reason));
+  }
+  if (trace::is_net_kind(e.kind)) {
+    std::printf(" %u->%u %zuB", trace::net_detail_from(e.detail),
+                trace::net_detail_to(e.detail),
+                trace::net_detail_size(e.detail));
+  } else if (e.detail != 0) {
+    std::printf(" detail=%llu", static_cast<unsigned long long>(e.detail));
+  }
+  std::printf("\n");
 }
 
 // Per-association timeline (assoc 0 collects events with no association
 // context, e.g. malformed-header drops).
-void render_timeline(const std::vector<TraceLine>& events) {
-  std::map<std::uint32_t, std::vector<const TraceLine*>> by_assoc;
-  for (const auto& ev : events) by_assoc[ev.assoc].push_back(&ev);
+void render_timeline(const std::vector<trace::Event>& events) {
+  std::map<std::uint32_t, std::vector<const trace::Event*>> by_assoc;
+  for (const trace::Event& e : events) by_assoc[e.assoc_id].push_back(&e);
   for (const auto& [assoc, evs] : by_assoc) {
     if (assoc == 0) {
       std::printf("== no association context (%zu events) ==\n", evs.size());
     } else {
       std::printf("== association %u (%zu events) ==\n", assoc, evs.size());
     }
-    for (const TraceLine* ev : evs) {
-      std::printf("%12.3f ms  node %-3llu %-18s", ev->t / 1000.0,
-                  static_cast<unsigned long long>(ev->origin),
-                  ev->kind.c_str());
-      if (!ev->type.empty() && ev->type != "-") {
-        std::printf(" %-3s", ev->type.c_str());
-      } else {
-        std::printf("    ");
-      }
-      std::printf(" seq=%u", ev->seq);
-      if (!ev->reason.empty() && ev->reason != "none") {
-        std::printf(" reason=%s", ev->reason.c_str());
-      }
-      if (ev->has_net) {
-        std::printf(" %llu->%llu %lluB",
-                    static_cast<unsigned long long>(ev->from),
-                    static_cast<unsigned long long>(ev->to),
-                    static_cast<unsigned long long>(ev->size));
-      } else if (ev->detail != 0) {
-        std::printf(" detail=%llu",
-                    static_cast<unsigned long long>(ev->detail));
-      }
-      std::printf("\n");
+    for (const trace::Event* e : evs) {
+      print_event(e->time_us / 1000.0, e->origin, *e, /*show_assoc=*/false);
     }
     std::printf("\n");
   }
 }
 
-// Drop-reason summary: every non-delivered packet attributed to a reason.
-void render_drops(const std::vector<TraceLine>& events) {
-  std::map<std::string, std::uint64_t> engine_drops;
-  std::map<std::string, std::uint64_t> net_drops;
+// Drop-reason summary: every non-delivered packet attributed to a reason,
+// rows in alphabetical order of the reason name.
+void render_drops(const std::vector<trace::Event>& events) {
+  // reason name -> (network drops, engine drops)
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> drops;
   std::uint64_t net_delivered = 0, net_duplicated = 0;
-  for (const auto& ev : events) {
-    if (ev.kind == "packet_dropped") ++engine_drops[ev.reason];
-    if (ev.kind == "net_dropped") ++net_drops[ev.reason];
-    if (ev.kind == "net_delivered") ++net_delivered;
-    if (ev.kind == "net_duplicated") ++net_duplicated;
+  for (const trace::Event& e : events) {
+    switch (e.kind) {
+      case trace::EventKind::kPacketDropped:
+        ++drops[trace::to_string(e.reason)].second;
+        break;
+      case trace::EventKind::kNetDropped:
+        ++drops[trace::to_string(e.reason)].first;
+        break;
+      case trace::EventKind::kNetDelivered: ++net_delivered; break;
+      case trace::EventKind::kNetDuplicated: ++net_duplicated; break;
+      default: break;
+    }
   }
   std::printf("== drop reasons ==\n");
   std::printf("%-24s %10s %10s\n", "reason", "network", "engines");
-  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> merged;
-  for (const auto& [reason, n] : net_drops) merged[reason].first = n;
-  for (const auto& [reason, n] : engine_drops) merged[reason].second = n;
   std::uint64_t net_total = 0, engine_total = 0;
-  for (const auto& [reason, counts] : merged) {
+  for (const auto& [reason, counts] : drops) {
     std::printf("%-24s %10llu %10llu\n", reason.c_str(),
                 static_cast<unsigned long long>(counts.first),
                 static_cast<unsigned long long>(counts.second));
@@ -320,58 +276,7 @@ void render_drops(const std::vector<TraceLine>& events) {
               static_cast<unsigned long long>(net_duplicated));
 }
 
-int inspect_trace(const std::string& path) {
-  std::vector<TraceLine> events;
-  std::size_t bad_lines = 0;
-  if (!load_trace(path, events, bad_lines)) return 1;
-  render_timeline(events);
-  render_drops(events);
-  if (bad_lines > 0) {
-    std::fprintf(stderr, "warning: %zu undecodable trace lines\n", bad_lines);
-  }
-  return 0;
-}
-
 // ------------------------------------------------------ span reconstruction
-
-/// Rebuilds a trace::Event from its JSONL form; lossless because write_jsonl
-/// always emits the raw detail word alongside the decoded net fields.
-trace::Event to_event(const TraceLine& line) {
-  trace::Event e;
-  e.time_us = line.t;
-  e.detail = line.detail;
-  e.assoc_id = line.assoc;
-  e.seq = line.seq;
-  e.kind = trace::kind_from_string(line.kind);
-  e.reason = trace::reason_from_string(line.reason);
-  e.packet_type = trace::packet_type_from_name(line.type);
-  e.origin = static_cast<std::uint8_t>(line.origin);
-  return e;
-}
-
-/// Inverse of to_event: lifts a binary flight-recorder event into the same
-/// TraceLine shape the JSONL path produces, so every renderer below works
-/// identically on live JSONL traces and postmortem recordings.
-TraceLine from_event(const trace::Event& e) {
-  TraceLine line;
-  line.t = e.time_us;
-  line.origin = e.origin;
-  line.kind = trace::to_string(e.kind);
-  line.assoc = e.assoc_id;
-  line.seq = e.seq;
-  line.type = trace::packet_type_name(e.packet_type);
-  line.reason = trace::to_string(e.reason);
-  line.detail = e.detail;
-  if (e.kind == trace::EventKind::kNetDelivered ||
-      e.kind == trace::EventKind::kNetDropped ||
-      e.kind == trace::EventKind::kNetDuplicated) {
-    line.has_net = true;
-    line.from = trace::net_detail_from(e.detail);
-    line.to = trace::net_detail_to(e.detail);
-    line.size = trace::net_detail_size(e.detail);
-  }
-  return line;
-}
 
 void waterfall_row(std::vector<std::pair<std::uint64_t, std::string>>& rows,
                    std::uint64_t t, std::string label) {
@@ -452,10 +357,10 @@ void print_quantiles(const char* name, const metrics::Histogram& h,
               h.max() / scale, unit);
 }
 
-int render_spans(const std::vector<TraceLine>& events, const std::string& label,
-                 bool waterfalls) {
+int render_spans(const std::vector<trace::Event>& events,
+                 const std::string& label, bool waterfalls) {
   trace::SpanBuilder builder;
-  for (const TraceLine& line : events) builder.ingest(to_event(line));
+  for (const trace::Event& e : events) builder.ingest(e);
   if (builder.spans().empty()) {
     std::fprintf(stderr, "%s: no signature rounds in trace\n", label.c_str());
     return 1;
@@ -506,17 +411,6 @@ int render_spans(const std::vector<TraceLine>& events, const std::string& label,
   return 0;
 }
 
-int inspect_spans(const std::string& path) {
-  std::vector<TraceLine> events;
-  std::size_t bad_lines = 0;
-  if (!load_trace(path, events, bad_lines)) return 1;
-  const int rc = render_spans(events, path, /*waterfalls=*/true);
-  if (bad_lines > 0) {
-    std::fprintf(stderr, "warning: %zu undecodable trace lines\n", bad_lines);
-  }
-  return rc;
-}
-
 // ------------------------------------------------------ adaptivity decode
 
 const char* short_mode(std::uint8_t m) {
@@ -533,17 +427,19 @@ const char* short_mode(std::uint8_t m) {
 /// kAdaptDecision event carries the full input snapshot (loss EWMA, budget
 /// pressure, health) and the verdict in its detail word, so the decision
 /// log below is exactly what the controller saw -- holds included.
-int render_adapt(const std::vector<TraceLine>& events, const std::string& label,
-                 bool required) {
-  std::map<std::uint32_t, std::vector<const TraceLine*>> by_assoc;
-  for (const auto& ev : events) {
-    if (ev.kind == "adapt_decision") by_assoc[ev.assoc].push_back(&ev);
+int render_adapt(const std::vector<trace::Event>& events,
+                 const std::string& label, bool required) {
+  std::map<std::uint32_t, std::vector<const trace::Event*>> by_assoc;
+  for (const trace::Event& e : events) {
+    if (e.kind == trace::EventKind::kAdaptDecision) {
+      by_assoc[e.assoc_id].push_back(&e);
+    }
   }
   if (by_assoc.empty()) {
     if (!required) return 0;
     std::fprintf(stderr,
                  "%s: no adapt_decision events (run with the adaptive "
-                 "controller enabled, e.g. alpha_sim --adaptive --trace)\n",
+                 "controller enabled, e.g. alpha_sim --adaptive --flight-dir)\n",
                  label.c_str());
     return 1;
   }
@@ -556,7 +452,7 @@ int render_adapt(const std::vector<TraceLine>& events, const std::string& label,
                 "decision", "profile", "loss", "budget", "health");
     std::map<std::string, std::uint64_t> by_reason;
     std::uint64_t switches = 0;
-    for (const TraceLine* ev : evs) {
+    for (const trace::Event* ev : evs) {
       const std::uint64_t d = ev->detail;
       const auto reason =
           static_cast<core::AdaptReason>(trace::adapt_detail_reason(d));
@@ -577,7 +473,8 @@ int render_adapt(const std::vector<TraceLine>& events, const std::string& label,
                       short_mode(from_mode), from_batch);
       }
       std::printf("%12.3f %6u %-15s %-14s %6.1f%% %6u%% %9s\n",
-                  ev->t / 1000.0, ev->seq, core::to_string(reason), profile,
+                  ev->time_us / 1000.0, ev->seq, core::to_string(reason),
+                  profile,
                   trace::adapt_detail_loss_permille(d) / 10.0,
                   trace::adapt_detail_budget_percent(d),
                   kHealthNames[std::min<std::uint8_t>(
@@ -594,30 +491,19 @@ int render_adapt(const std::vector<TraceLine>& events, const std::string& label,
   return 0;
 }
 
-int inspect_adapt(const std::string& path) {
-  std::vector<TraceLine> events;
-  std::size_t bad_lines = 0;
-  if (!load_trace(path, events, bad_lines)) return 1;
-  const int rc = render_adapt(events, path, /*required=*/true);
-  if (bad_lines > 0) {
-    std::fprintf(stderr, "warning: %zu undecodable trace lines\n", bad_lines);
-  }
-  return rc;
-}
-
 // ------------------------------------------------------- flight recordings
 
-void render_health(const std::vector<TraceLine>& events) {
+void render_health(const std::vector<trace::Event>& events) {
   bool any = false;
-  for (const auto& ev : events) {
-    const bool degraded = ev.kind == "health_degraded";
-    if (!degraded && ev.kind != "health_recovered") continue;
+  for (const trace::Event& ev : events) {
+    const bool degraded = ev.kind == trace::EventKind::kHealthDegraded;
+    if (!degraded && ev.kind != trace::EventKind::kHealthRecovered) continue;
     if (!any) {
       std::printf("== health transitions ==\n");
       any = true;
     }
-    std::printf("%12.3f ms  node %-3llu %-18s", ev.t / 1000.0,
-                static_cast<unsigned long long>(ev.origin), ev.kind.c_str());
+    std::printf("%12.3f ms  node %-3u %-18s", ev.time_us / 1000.0, ev.origin,
+                trace::to_string(ev.kind));
     if (degraded && ev.detail != 0) {
       const auto mask = static_cast<unsigned>(ev.detail);
       if (mask & trace::kHealthWedgedRound) std::printf(" wedged-round");
@@ -659,30 +545,27 @@ void print_flight_summary(const trace::FlightRecording& rec,
               static_cast<unsigned long long>(h0.config_digest));
 }
 
-std::vector<TraceLine> flight_lines(const trace::FlightRecording& rec) {
-  std::vector<TraceLine> lines;
-  lines.reserve(rec.total_events());
-  for (const trace::FlightSegment& seg : rec.segments) {
-    for (const trace::Event& e : seg.events) lines.push_back(from_event(e));
-  }
-  return lines;
+/// One view of a recording: --trace (timeline + drop table), --spans
+/// (waterfalls + quantiles) or --adapt (decision log).
+int inspect_view(const std::string& view, const std::string& dir) {
+  trace::FlightRecording rec;
+  std::vector<trace::Event> events;
+  if (!read_events(dir, rec, events) || events.empty()) return 1;
+  if (view == "spans") return render_spans(events, dir, /*waterfalls=*/true);
+  if (view == "adapt") return render_adapt(events, dir, /*required=*/true);
+  render_timeline(events);
+  render_drops(events);
+  return 0;
 }
 
-/// Postmortem view of one recording: what a crashed or exited node left
-/// behind, rendered through the same lenses as a live JSONL trace.
+/// Postmortem overview of one recording: what a crashed or exited node left
+/// behind, headers first, then the drop, health, span and adapt lenses.
 int inspect_flight(const std::string& dir) {
   trace::FlightRecording rec;
-  std::string err;
-  if (!read_flight_dir(dir, rec, &err)) {
-    std::fprintf(stderr, "%s\n", err.c_str());
-    return 1;
-  }
+  std::vector<trace::Event> events;
+  if (!read_events(dir, rec, events)) return 1;
   print_flight_summary(rec, dir);
-  const std::vector<TraceLine> events = flight_lines(rec);
-  if (events.empty()) {
-    std::fprintf(stderr, "%s: recording holds no events\n", dir.c_str());
-    return 1;
-  }
+  if (events.empty()) return 1;
   render_drops(events);
   std::printf("\n");
   render_health(events);
@@ -738,33 +621,20 @@ int inspect_merge(const std::string& spec) {
               merged.timeline.size());
   const std::uint64_t t0 =
       merged.timeline.empty() ? 0 : merged.timeline.front().wall_us;
+  // Cross-node spans: the corrected timeline, rebased to its first event,
+  // goes through the span reconstructor so hop latencies span processes.
+  std::vector<trace::Event> events;
+  events.reserve(merged.timeline.size());
   for (const trace::MergedEvent& me : merged.timeline) {
-    const TraceLine line = from_event(me.event);
-    std::printf("%12.3f ms  node %-3u %-18s", (me.wall_us - t0) / 1000.0,
-                me.node_id, line.kind.c_str());
-    if (!line.type.empty() && line.type != "-") {
-      std::printf(" %-3s", line.type.c_str());
-    }
-    std::printf(" assoc=%u seq=%u", line.assoc, line.seq);
-    if (!line.reason.empty() && line.reason != "none") {
-      std::printf(" reason=%s", line.reason.c_str());
-    }
-    std::printf("\n");
+    print_event((me.wall_us - t0) / 1000.0, me.node_id, me.event,
+                /*show_assoc=*/true);
+    events.push_back(me.event);
+    events.back().time_us = me.wall_us - t0;
   }
   std::printf("\n");
-
-  // Cross-node spans: feed the corrected timeline through the span
-  // reconstructor so hop latencies span process boundaries.
-  std::vector<TraceLine> lines;
-  lines.reserve(merged.timeline.size());
-  for (const trace::MergedEvent& me : merged.timeline) {
-    TraceLine line = from_event(me.event);
-    line.t = me.wall_us - t0;
-    lines.push_back(std::move(line));
-  }
-  render_drops(lines);
+  render_drops(events);
   std::printf("\n");
-  render_spans(lines, spec, /*waterfalls=*/false);
+  render_spans(events, spec, /*waterfalls=*/false);
   return 0;
 }
 
@@ -772,18 +642,18 @@ int inspect_merge(const std::string& spec) {
 
 int main(int argc, char** argv) {
   tools::Flags flags{"alpha_inspect",
-                     "decode an ALPHA packet from hex or a JSONL trace"};
+                     "decode an ALPHA packet from hex or a flight recording"};
   flags.define("hex", "", "packet bytes as a hex string");
   flags.define("stdin", "false", "read hex lines from stdin");
   flags.define("trace", "",
-               "decode a JSONL event trace (alpha_sim --trace) into a "
-               "timeline and drop-reason table");
+               "render a flight-recorder directory (alpha_sim --flight-dir) "
+               "as a per-association timeline and drop-reason table");
   flags.define("spans", "",
-               "reconstruct per-round spans from a JSONL event trace: "
-               "waterfalls plus latency-component quantiles");
+               "reconstruct per-round spans from a flight-recorder "
+               "directory: waterfalls plus latency-component quantiles");
   flags.define("adapt", "",
-               "explain adaptive-controller decisions from a JSONL event "
-               "trace: one line per policy evaluation with the signals "
+               "explain adaptive-controller decisions from a flight-recorder "
+               "directory: one line per policy evaluation with the signals "
                "that justified it");
   flags.define("flight", "",
                "replay a flight-recorder directory (alpha_sim --flight-dir): "
@@ -800,14 +670,8 @@ int main(int argc, char** argv) {
   if (!flags.str("flight").empty()) {
     return inspect_flight(flags.str("flight"));
   }
-  if (!flags.str("adapt").empty()) {
-    return inspect_adapt(flags.str("adapt"));
-  }
-  if (!flags.str("spans").empty()) {
-    return inspect_spans(flags.str("spans"));
-  }
-  if (!flags.str("trace").empty()) {
-    return inspect_trace(flags.str("trace"));
+  for (const char* view : {"adapt", "spans", "trace"}) {
+    if (!flags.str(view).empty()) return inspect_view(view, flags.str(view));
   }
   if (flags.flag("stdin")) {
     std::string line;

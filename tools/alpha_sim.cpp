@@ -103,11 +103,10 @@ int main(int argc, char** argv) {
                "cut the middle link: start,duration (seconds)");
   flags.define("chaos-seed", "0",
                "fault-schedule seed (0 = derive from --seed)");
-  flags.define("trace", "", "write a JSONL protocol event trace to FILE");
   flags.define("flight-dir", "",
                "spill the event ring to crash-safe flight-recorder segments "
-               "under DIR (alpha_inspect --flight replays them)");
-  flags.define("timeline", "false", "print a per-frame timeline to stderr");
+               "under DIR (alpha_inspect --trace/--spans/--adapt/--flight "
+               "render them)");
   flags.define("metrics", "false",
                "print Prometheus-style per-association metrics to stdout");
   flags.define("metrics-port", "-1",
@@ -189,12 +188,9 @@ int main(int argc, char** argv) {
         static_cast<net::SimTime>(duration_s * net::kSecond));
   }
 
-  // Typed event trace: install a ring large enough that a smoke-size chaos
-  // run cannot wrap it, dump as JSONL at exit (alpha_inspect decodes it).
-  // Span stitching and the live telemetry endpoint also need the ring, so
-  // --metrics/--metrics-port install it too.
+  // Typed event trace: span stitching, the live telemetry endpoint and the
+  // flight recorder all read one ring, installed whenever any of them is on.
   std::optional<trace::Ring> trace_ring;
-  const std::string trace_path = flags.str("trace");
   const std::string flight_dir = flags.str("flight-dir");
   const long metrics_port = flags.num("metrics-port");
   const long serve_seconds = flags.num("serve-seconds");
@@ -202,27 +198,9 @@ int main(int argc, char** argv) {
   // --flight-dir implies the metrics plumbing.
   const bool want_metrics =
       flags.flag("metrics") || metrics_port >= 0 || !flight_dir.empty();
-  if (!trace_path.empty() || want_metrics) {
+  if (want_metrics) {
     trace_ring.emplace(std::size_t{1} << 18);
     trace::install(&*trace_ring);
-  }
-
-  if (flags.flag("timeline")) {
-    network.set_tracer([](const net::Network::TraceRecord& rec) {
-      const char* fate = rec.fate == net::Network::FrameFate::kDelivered
-                             ? (rec.corrupted ? "~>" : "->")
-                         : rec.fate == net::Network::FrameFate::kLost ? "xx"
-                         : rec.fate == net::Network::FrameFate::kOversize
-                             ? "!mtu"
-                         : rec.fate == net::Network::FrameFate::kLinkDown
-                             ? "!down"
-                         : rec.fate == net::Network::FrameFate::kDuplicated
-                             ? "=>"
-                             : "!link";
-      std::fprintf(stderr, "%10.3f ms  %u %s %u  %zu B\n",
-                   static_cast<double>(rec.sent_at) / 1000.0, rec.from, fate,
-                   rec.to, rec.size);
-    });
   }
 
   core::Config config;
@@ -613,7 +591,7 @@ int main(int argc, char** argv) {
       break;  // every message settled: delivered or reported failed
     }
     sim.run_until(sim.now() + net::kSecond);
-    if (trace_ring.has_value() && want_metrics) {
+    if (trace_ring.has_value()) {
       span_builder.ingest_new(*trace_ring);  // stitch while the ring is hot
     }
     if (flight.has_value()) flight->drain();  // spill before the ring wraps
@@ -849,18 +827,6 @@ int main(int argc, char** argv) {
   if (trace_ring.has_value()) {
     trace::install(nullptr);
     trace::install_profiler(nullptr);
-    // The ring also serves --metrics/--flight-dir runs with no JSONL sink;
-    // only write (and only fail) when a path was actually requested.
-    if (!trace_path.empty()) {
-      if (!trace::write_jsonl(*trace_ring, trace_path)) {
-        std::fprintf(stderr, "cannot write trace to %s\n", trace_path.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "trace: %zu events (%llu recorded) -> %s\n",
-                   trace_ring->size(),
-                   static_cast<unsigned long long>(trace_ring->total()),
-                   trace_path.c_str());
-    }
   }
   if (forged > 0) {
     std::fprintf(stderr, "FORGERY: %zu unauthentic payloads accepted\n",

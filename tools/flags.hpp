@@ -1,8 +1,9 @@
 // Minimal command-line flag parsing for the tools.
 //
-// Supports --name value and --name=value, plus boolean switches. Unknown
-// flags abort with usage; tools declare flags up front so --help is
-// generated automatically.
+// Supports --name value and --name=value, plus boolean switches (flags whose
+// default is "true" or "false"). Unknown flags and value flags given no value
+// abort with usage; tools declare flags up front so --help is generated
+// automatically.
 #pragma once
 
 #include <cstdio>
@@ -43,16 +44,22 @@ class Flags {
       if (eq != std::string::npos) {
         value = arg.substr(eq + 1);
         arg = arg.substr(0, eq);
-      } else if (i + 1 < argc && values_.contains(arg) &&
-                 values_[arg] != "false" && values_[arg] != "true") {
-        value = argv[++i];
-      } else {
-        value = "true";  // boolean switch
       }
       if (!values_.contains(arg)) {
         std::fprintf(stderr, "unknown flag: --%s\n", arg.c_str());
         usage();
         std::exit(2);
+      }
+      if (eq == std::string::npos) {
+        if (is_switch(arg)) {
+          value = "true";
+        } else if (i + 1 < argc) {
+          value = argv[++i];
+        } else {
+          std::fprintf(stderr, "flag --%s needs a value\n", arg.c_str());
+          usage();
+          std::exit(2);
+        }
       }
       values_[arg] = value;
     }
@@ -67,6 +74,15 @@ class Flags {
   }
   bool flag(const std::string& name) const {
     return values_.at(name) == "true";
+  }
+
+  /// Boolean switch: a flag whose default is "true" or "false" takes no
+  /// value; every other flag must be given one.
+  bool is_switch(const std::string& name) const {
+    for (const auto& [flag, def, help] : help_) {
+      if (flag == name) return def == "true" || def == "false";
+    }
+    return false;
   }
 
   void usage() const {
