@@ -34,7 +34,7 @@ double measure_goodput_mbps(wire::Mode mode, std::size_t batch,
   config.chain_length = 8192;
 
   core::ProtectedPath path{network, {0, 1, 2, 3}, config, 1, 7};
-  path.start(/*tick_horizon_us=*/3600 * net::kSecond);
+  path.start();
   sim.run_until(net::kSecond);
   if (!path.initiator().established()) return 0.0;
 

@@ -296,7 +296,9 @@ WorkerRow run_worker_sweep(std::uint32_t relay_workers, std::size_t assocs,
   const auto deadline = WallClock::now() + std::chrono::seconds(120);
   while (delivered.load(std::memory_order_relaxed) < row.messages &&
          WallClock::now() < deadline) {
-    node_a.poll(20);
+    // The delivery count lives on the responder, which node_a's poll()
+    // cannot see: check it every millisecond.
+    node_a.poll(1);
   }
   row.wall_s = seconds_since(t0);
   row.delivered = delivered.load(std::memory_order_relaxed);

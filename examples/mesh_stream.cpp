@@ -36,7 +36,7 @@ void run_mode(wire::Mode mode, const char* name) {
   config.chain_length = 4096;
 
   core::ProtectedPath path{network, nodes, config, 1, 99};
-  path.start(600 * net::kSecond);
+  path.start();
   sim.run_until(net::kSecond);
 
   const std::size_t kChunk = 1200;

@@ -41,7 +41,7 @@ int main() {
   config.rto_us = 500 * net::kMillisecond;
 
   core::ProtectedPath path{network, {0, 1, 2, 3}, config, 1, 77};
-  path.start(600 * net::kSecond);
+  path.start();
   sim.run_until(2 * net::kSecond);
   std::printf("bootstrap: %s\n",
               path.initiator().established() ? "established" : "FAILED");

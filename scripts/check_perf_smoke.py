@@ -6,8 +6,8 @@ with a trace ring installed for the whole run (--traced) -- and enforces:
 
   1. Zero-allocation rows stay at exactly 0 allocs/op in BOTH runs. The
      legacy and merkle rows allocate by design (returning digests / building
-     trees) and are excluded; the seed-only walker amortizes one checkpoint
-     table allocation over ~16k steps and only has to stay tiny.
+     trees) and are excluded; the chain walk amortizes its segment-cache
+     allocation over ~16k steps and only has to stay tiny.
   2. Tracing costs < 5% on the hot path: the geometric mean of per-row
      traced/untraced ns-per-op ratios must stay below 1.05. A geomean over
      all rows is used instead of a per-row gate because individual ns-scale

@@ -70,8 +70,7 @@ ProtectedPath::ProtectedPath(net::Network& network,
   }
 }
 
-void ProtectedPath::start(net::SimTime tick_horizon_us) {
-  (void)tick_horizon_us;  // timers are activity-driven now; see header
+void ProtectedPath::start() {
   nodes_.front()->start(assoc_id_);
 }
 

@@ -32,9 +32,8 @@ class ProtectedPath {
                 RelayEngine::Options relay_opts = RelayEngine::Options{});
 
   /// Sends the HS1. Retransmission timers arm themselves on activity and
-  /// disarm when idle; `tick_horizon_us` is retained for source
-  /// compatibility with the pre-runtime tick loop and ignored.
-  void start(net::SimTime tick_horizon_us = 60 * net::kSecond);
+  /// disarm when idle.
+  void start();
 
   /// Handler invoked whenever a relay securely extracts an authenticated
   /// payload from a forwarded S2 (§3.5 middlebox signaling):

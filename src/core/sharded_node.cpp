@@ -229,11 +229,17 @@ std::size_t ShardedNode::poll(int timeout_ms) {
     }
     return n;
   };
+  // Nap in short slices and return on the first routed frame, so a caller
+  // waiting for progress measures completion rather than its timeout.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
   const std::uint64_t before = routed();
-  if (timeout_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(timeout_ms));
+  std::uint64_t now = before;
+  while ((now = routed()) == before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(kIdleNap);
   }
-  return static_cast<std::size_t>(routed() - before);
+  return static_cast<std::size_t>(now - before);
 }
 
 std::size_t ShardedNode::established_count() const noexcept {

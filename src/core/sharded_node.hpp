@@ -144,8 +144,9 @@ class ShardedNode {
 
   /// Inline mode: drives the transport (frames + timers) for up to
   /// `timeout_ms` of virtual time and returns frames processed. Threaded
-  /// mode: the I/O and worker threads drive themselves; poll() just sleeps
-  /// up to `timeout_ms` and returns how many frames they routed meanwhile.
+  /// mode: the I/O and worker threads drive themselves; poll() waits until
+  /// this node has routed at least one more inbound frame or `timeout_ms`
+  /// has elapsed, and returns how many frames were routed meanwhile.
   std::size_t poll(int timeout_ms);
 
   std::uint32_t workers() const noexcept { return workers_; }

@@ -13,9 +13,7 @@ namespace {
 constexpr std::string_view kS1Tag = "S1";
 constexpr std::string_view kS2Tag = "S2";
 
-constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
-
-std::size_t sqrt_interval(std::size_t length) {
+std::size_t sqrt_spacing(std::size_t length) {
   auto k = static_cast<std::size_t>(
       std::lround(std::sqrt(static_cast<double>(length))));
   return k == 0 ? 1 : k;
@@ -57,9 +55,11 @@ Digest chain_advance(HashAlgo algo, ChainTagging tagging, const Digest& from,
 }
 
 HashChain::HashChain(HashAlgo algo, ChainTagging tagging, ByteView seed,
-                     std::size_t length, ChainStorage storage,
-                     std::size_t checkpoint_interval)
-    : algo_(algo), tagging_(tagging), storage_(storage), length_(length) {
+                     std::size_t length)
+    : algo_(algo),
+      tagging_(tagging),
+      length_(length),
+      spacing_(sqrt_spacing(length)) {
   if (length < 2) {
     throw std::invalid_argument("HashChain: length must be >= 2");
   }
@@ -68,140 +68,56 @@ HashChain::HashChain(HashAlgo algo, ChainTagging tagging, ByteView seed,
     throw std::invalid_argument(
         "HashChain: role-bound chains require even length");
   }
-  seed_ = Digest{seed};
-
-  switch (storage_) {
-    case ChainStorage::kFull: {
-      elements_.reserve(length_ + 1);
-      elements_.push_back(seed_);
-      for (std::size_t i = 1; i <= length_; ++i) {
-        elements_.push_back(chain_step(algo_, tagging_, elements_.back(), i));
-      }
-      break;
-    }
-    case ChainStorage::kSeedOnly:
-      break;
-    case ChainStorage::kCheckpoint: {
-      interval_ = checkpoint_interval != 0 ? checkpoint_interval
-                                           : sqrt_interval(length_);
-      // Checkpoint every interval_-th element starting at h_0.
-      Digest cur = seed_;
-      elements_.reserve(length_ / interval_ + 1);
-      elements_.push_back(cur);
-      for (std::size_t i = 1; i <= length_; ++i) {
-        cur = chain_step(algo_, tagging_, cur, i);
-        if (i % interval_ == 0) elements_.push_back(cur);
-      }
-      break;
+  // The generation pass runs through the two segments the first
+  // disclosures read (h_{n-1} and below): keep them, so they cost no refill.
+  // n >= 2 gives n - 1 >= k, so the lower segment exists.
+  seg_lo_[1] = (length_ - 1) / spacing_ * spacing_;
+  seg_lo_[0] = seg_lo_[1] - spacing_;
+  cache_.resize(2 * spacing_);
+  pebbles_.reserve(length_ / spacing_ + 2);
+  Digest cur{seed};
+  for (std::size_t i = 0; i <= length_; ++i) {
+    if (i > 0) cur = chain_step(algo_, tagging_, cur, i);
+    if (i % spacing_ == 0 || i == length_) pebbles_.push_back(cur);
+    if (i >= seg_lo_[0] && i < seg_lo_[1] + spacing_) {
+      cache_[i - seg_lo_[0]] = cur;
     }
   }
 }
 
 HashChain HashChain::generate(HashAlgo algo, ChainTagging tagging,
-                              crypto::RandomSource& rng, std::size_t length,
-                              ChainStorage storage) {
+                              crypto::RandomSource& rng, std::size_t length) {
   const crypto::Bytes seed = rng.bytes(crypto::digest_size(algo));
-  return HashChain{algo, tagging, seed, length, storage};
+  return HashChain{algo, tagging, seed, length};
 }
 
 Digest HashChain::element(std::size_t i) const {
   if (i > length_) throw std::out_of_range("HashChain::element: index > length");
-  switch (storage_) {
-    case ChainStorage::kFull:
-      return elements_[i];
-    case ChainStorage::kSeedOnly:
-    case ChainStorage::kCheckpoint: {
-      // Nearest stored base at or below i.
-      std::size_t base_index = 0;
-      const Digest* base = &seed_;
-      if (storage_ == ChainStorage::kCheckpoint) {
-        const std::size_t cp = i / interval_;
-        base_index = cp * interval_;
-        base = &elements_[cp];
-      }
-      // The memoized last result beats the stored base when it sits in
-      // [base_index, i]: ascending or repeated accesses become O(delta).
-      if (cursor_index_ != kNoIndex && cursor_index_ <= i &&
-          cursor_index_ >= base_index) {
-        if (cursor_index_ == i) return cursor_;
-        advance_inplace(algo_, tagging_, cursor_, cursor_index_, i);
-      } else {
-        cursor_ = *base;
-        advance_inplace(algo_, tagging_, cursor_, base_index, i);
-      }
-      cursor_index_ = i;
-      return cursor_;
-    }
+  const std::size_t lo = i - i % spacing_;
+  for (std::size_t s = 0; s < 2; ++s) {
+    if (seg_lo_[s] == lo) return cache_[s * spacing_ + (i - lo)];
   }
-  throw std::logic_error("HashChain::element: bad storage");
-}
-
-std::size_t HashChain::memory_bytes() const noexcept {
-  const std::size_t h = crypto::digest_size(algo_);
-  if (storage_ == ChainStorage::kSeedOnly) return h;
-  return elements_.size() * h;
-}
-
-ChainWalker::ChainWalker(const HashChain& chain)
-    : chain_(&chain), next_(chain.length() == 0 ? 0 : chain.length() - 1) {
-  switch (chain.storage()) {
-    case ChainStorage::kFull:
-      break;  // interval_ stays 0: delegate to O(1) lookups
-    case ChainStorage::kCheckpoint:
-      interval_ = chain.interval_;  // pebbles = the chain's checkpoints
-      break;
-    case ChainStorage::kSeedOnly: {
-      // Build our own sqrt-spaced pebbles with one forward pass (n hash
-      // ops, the same price as a single naive element(n) access).
-      interval_ = sqrt_interval(chain.length());
-      pebbles_.reserve(chain.length() / interval_ + 1);
-      Digest cur = chain.seed_;
-      pebbles_.push_back(cur);
-      for (std::size_t i = 1; i <= chain.length(); ++i) {
-        cur = chain_step(chain.algo(), chain.tagging(), cur, i);
-        if (i % interval_ == 0) pebbles_.push_back(cur);
-      }
-      break;
-    }
-  }
-}
-
-const Digest& ChainWalker::pebble_at(std::size_t index) const {
-  const std::size_t slot = index / interval_;
-  return pebbles_.empty() ? chain_->elements_[slot] : pebbles_[slot];
-}
-
-Digest ChainWalker::fetch(std::size_t i) const {
-  if (interval_ == 0) return chain_->element(i);
-  const std::size_t lo = (i / interval_) * interval_;
-  for (int s = 0; s < 2; ++s) {
-    if (seg_lo_[s] == lo) return seg_[s][i - lo];
-  }
-  // Refill: evict the slot covering the higher (already consumed while
-  // descending) segment.
-  int victim = 0;
-  if (seg_lo_[0] != kNoIndex) {
-    victim = (seg_lo_[1] == kNoIndex || seg_lo_[0] > seg_lo_[1]) ? 0 : 1;
-  }
-  const std::size_t hi = std::min(lo + interval_ - 1, chain_->length());
-  std::vector<Digest>& seg = seg_[victim];
-  seg.clear();
-  seg.reserve(interval_);
-  Digest cur = pebble_at(lo);
-  seg.push_back(cur);
+  // Miss: refill the slot holding the higher segment from the pebble h_lo.
+  const std::size_t victim = seg_lo_[0] > seg_lo_[1] ? 0 : 1;
+  Digest* seg = &cache_[victim * spacing_];
+  seg[0] = pebbles_[lo / spacing_];
+  const std::size_t hi = std::min(lo + spacing_ - 1, length_);
   for (std::size_t j = lo + 1; j <= hi; ++j) {
-    cur = chain_step(chain_->algo(), chain_->tagging(), cur, j);
-    seg.push_back(cur);
+    seg[j - lo] = chain_step(algo_, tagging_, seg[j - lo - 1], j);
   }
   seg_lo_[victim] = lo;
   return seg[i - lo];
+}
+
+std::size_t HashChain::memory_bytes() const noexcept {
+  return (pebbles_.size() + 2 * spacing_) * crypto::digest_size(algo_);
 }
 
 Digest ChainWalker::peek(std::size_t offset) const {
   if (offset > next_ || next_ == 0) {
     throw std::out_of_range("ChainWalker::peek: chain exhausted");
   }
-  return fetch(next_ - offset);
+  return chain_->element(next_ - offset);
 }
 
 Digest ChainWalker::take(std::size_t steps) {
@@ -209,7 +125,7 @@ Digest ChainWalker::take(std::size_t steps) {
   if (next_ == 0 || steps > next_) {
     throw std::out_of_range("ChainWalker::take: chain exhausted");
   }
-  const Digest out = fetch(next_);
+  const Digest out = chain_->element(next_);
   next_ -= steps;
   return out;
 }

@@ -12,12 +12,9 @@
 // The plain (untagged) construction is also provided for baseline protocols
 // (e.g. the TESLA-like comparison scheme).
 //
-// The signer-side HashChain supports three storage strategies (the ablation
-// called out in DESIGN.md §5): store all elements, store only the seed and
-// recompute, or keep sqrt-spaced checkpoints. ChainWalker turns the
-// element-by-element disclosure sweep over the recomputing strategies from
-// O(n) hashing per disclosure into amortized O(sqrt(n)) / O(k) by pebbling:
-// see the class comment below and DESIGN.md §5.
+// The signer-side HashChain holds O(sqrt(n)) digests instead of n+1 (sqrt(n)
+// pebbles plus a segment cache; see the class comment and DESIGN.md §5),
+// and ChainWalker is the disclosure cursor over it.
 #pragma once
 
 #include <cstdint>
@@ -58,74 +55,63 @@ Digest chain_advance(HashAlgo algo, ChainTagging tagging, const Digest& from,
 inline bool is_s1_index(std::size_t i) noexcept { return i % 2 == 1; }
 inline bool is_s2_index(std::size_t i) noexcept { return i % 2 == 0 && i > 0; }
 
-enum class ChainStorage : std::uint8_t {
-  kFull = 1,        // all n+1 elements resident: O(n*h) memory, O(1) access
-  kSeedOnly = 2,    // seed only: O(h) memory, O(i) hashing per access
-  kCheckpoint = 3,  // every k-th element: O((n/k)*h) memory, O(k) hashing
-};
-
 /// Signer-side hash chain (owns the seed).
+///
+/// Resident state is the pebbles h_0, h_k, h_2k, ... (k = round(sqrt(n)))
+/// plus the anchor h_n, and a two-slot cache of k-aligned segments
+/// [lo, lo+k), which construction fills with the two segments holding
+/// h_{n-1} and the k elements below it. A miss refills one slot with at
+/// most k-1 hashes from the pebble h_lo, evicting the higher of the two
+/// cached segments: a reader descending the chain is done with it. Two
+/// slots keep a second reader just above the first from thrashing: the
+/// signer peeking h_{i-1} across a segment boundary, or TESLA's key e-d
+/// trailing key e. Both access patterns pay about one hash per element.
 class HashChain {
  public:
   /// Builds a chain of `length` steps (elements h_0 .. h_length) from `seed`.
   /// `length` must be even and >= 2 for role-bound chains so the first
   /// disclosed element h_{length-1} carries the S1 tag.
-  /// `checkpoint_interval` of 0 selects round(sqrt(length)).
   HashChain(HashAlgo algo, ChainTagging tagging, ByteView seed,
-            std::size_t length, ChainStorage storage = ChainStorage::kFull,
-            std::size_t checkpoint_interval = 0);
+            std::size_t length);
 
   /// Convenience: fresh random seed of digest size.
   static HashChain generate(HashAlgo algo, ChainTagging tagging,
-                            crypto::RandomSource& rng, std::size_t length,
-                            ChainStorage storage = ChainStorage::kFull);
+                            crypto::RandomSource& rng, std::size_t length);
 
-  /// Element h_i, 0 <= i <= length(). For the recomputing storages the last
-  /// computed element is memoized, so repeated or ascending accesses resume
-  /// from the previous result instead of the nearest stored base. The memo
-  /// makes element() non-reentrant: do not call concurrently on one chain.
+  /// Element h_i, 0 <= i <= length(). A cached element costs no hashing, an
+  /// uncached one at most k-1. The segment cache makes element()
+  /// non-reentrant: do not call concurrently on one chain.
   Digest element(std::size_t i) const;
-  Digest anchor() const { return element(length_); }
+  /// h_n, stored: never hashes.
+  Digest anchor() const { return pebbles_.back(); }
 
   std::size_t length() const noexcept { return length_; }
   HashAlgo algo() const noexcept { return algo_; }
   ChainTagging tagging() const noexcept { return tagging_; }
-  ChainStorage storage() const noexcept { return storage_; }
-  /// Checkpoint spacing (0 unless storage is kCheckpoint).
-  std::size_t checkpoint_interval() const noexcept { return interval_; }
 
-  /// Resident bytes for stored elements (Table 2/3 accounting, ablation).
+  /// Resident bytes for stored elements, pebbles plus both cache segments
+  /// (Table 2/3 accounting, ablation).
   std::size_t memory_bytes() const noexcept;
 
  private:
-  friend class ChainWalker;  // reads stored checkpoints / seed for pebbling
-
   HashAlgo algo_;
   ChainTagging tagging_;
-  ChainStorage storage_;
   std::size_t length_;
-  std::size_t interval_ = 0;        // checkpoint spacing
-  std::vector<Digest> elements_;    // full store or checkpoints
-  Digest seed_;                     // kept for kSeedOnly / kCheckpoint
-  // element() memo (recomputing storages only).
-  mutable Digest cursor_;
-  mutable std::size_t cursor_index_ = static_cast<std::size_t>(-1);
+  std::size_t spacing_;          // k = round(sqrt(length)), >= 1
+  std::vector<Digest> pebbles_;  // h_0, h_k, ..., then h_n when n % k != 0
+  // Two segment slots back to back, slot s holding [seg_lo_[s],
+  // seg_lo_[s] + k) at cache_[s*k, (s+1)*k).
+  mutable std::vector<Digest> cache_;
+  mutable std::size_t seg_lo_[2] = {};
 };
 
-/// Consumption cursor over a signer's chain: hands out elements from
-/// h_{length-1} downward and never re-discloses an element.
-///
-/// For the recomputing storages the walker amortizes the descending sweep:
-/// it keeps interval-aligned segments of consecutive elements in two cache
-/// slots, refilling a segment with one forward pass from the nearest pebble
-/// (kSeedOnly: sqrt-spaced pebbles built once at construction; kCheckpoint:
-/// the chain's stored checkpoints). A full-chain walk thus costs at most
-/// 2n hash ops for kSeedOnly (n to pebble + under n to refill) and
-/// n + O(interval) for kCheckpoint, instead of the O(n^2) of naive per-index
-/// recomputation. kFull delegates straight to HashChain::element.
+/// Disclosure cursor over a signer's chain: hands out elements from
+/// h_{length-1} downward and never re-discloses an element. Reads go
+/// through HashChain::element, whose segment cache makes the sweep cheap.
 class ChainWalker {
  public:
-  explicit ChainWalker(const HashChain& chain);
+  explicit ChainWalker(const HashChain& chain) noexcept
+      : chain_(&chain), next_(chain.length() - 1) {}
 
   /// Index that the next take() will disclose.
   std::size_t next_index() const noexcept { return next_; }
@@ -144,19 +130,8 @@ class ChainWalker {
   Digest take(std::size_t steps = 1);
 
  private:
-  Digest fetch(std::size_t i) const;
-  const Digest& pebble_at(std::size_t index) const;
-
   const HashChain* chain_;
   std::size_t next_;
-  std::size_t interval_ = 0;      // segment span; 0 = delegate to the chain
-  std::vector<Digest> pebbles_;   // own pebbles (kSeedOnly only)
-  // Two cached segments of consecutive elements [seg_lo_, seg_lo_+interval_).
-  // Two slots so a peek across a segment boundary (e.g. the next round's
-  // element while the current round still discloses) does not thrash.
-  mutable std::vector<Digest> seg_[2];
-  mutable std::size_t seg_lo_[2] = {static_cast<std::size_t>(-1),
-                                    static_cast<std::size_t>(-1)};
 };
 
 /// Verifier-side chain state: remembers the last authenticated element and

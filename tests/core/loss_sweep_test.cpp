@@ -70,7 +70,7 @@ TEST_P(LossSweepTest, AllMessagesEventuallyAckedUnderLoss) {
   config.chain_length = 2048;
 
   ProtectedPath path{network, {0, 1, 2, 3}, config, 1, 99};
-  path.start(/*tick_horizon_us=*/2000 * kSecond);
+  path.start();
 
   sim.run_until(5 * kSecond);
   for (int attempt = 0; attempt < 50 && !path.initiator().established();

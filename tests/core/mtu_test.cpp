@@ -79,7 +79,7 @@ TEST(MtuIntegrationTest, SensorProfileWithPaperBatchJustWorks) {
   config.rto_us = 500 * net::kMillisecond;
 
   ProtectedPath path{network, {0, 1, 2}, config, 1, 42};
-  path.start(600 * net::kSecond);
+  path.start();
   sim.run_until(2 * net::kSecond);
   ASSERT_TRUE(path.initiator().established());
 
@@ -111,7 +111,7 @@ TEST(MtuIntegrationTest, WithoutHintOversizeFramesAreDropped) {
   config.mtu_hint = 0;  // no clamping
 
   ProtectedPath path{network, {0, 1, 2}, config, 1, 42};
-  path.start(60 * net::kSecond);
+  path.start();
   sim.run_until(2 * net::kSecond);
   ASSERT_TRUE(path.initiator().established());
 

@@ -22,7 +22,7 @@ TEST(RekeyRelayTest, RelaysFollowChainRotation) {
   config.rto_us = 50 * kMillisecond;
 
   ProtectedPath path{network, {0, 1, 2, 3}, config, 1, 55};
-  path.start(/*tick_horizon_us=*/600 * kSecond);
+  path.start();
   sim.run_until(kSecond);
   ASSERT_TRUE(path.initiator().established());
 
@@ -54,7 +54,7 @@ TEST(RekeyRelayTest, DuplexTrafficSurvivesRotation) {
   config.rto_us = 50 * kMillisecond;
 
   ProtectedPath path{network, {0, 1, 2}, config, 1, 77};
-  path.start(600 * kSecond);
+  path.start();
   sim.run_until(kSecond);
 
   for (int i = 0; i < 40; ++i) {
@@ -87,7 +87,7 @@ TEST(RekeyRelayTest, RekeySurvivesLossyPath) {
   config.max_retries = 40;
 
   ProtectedPath path{network, {0, 1, 2}, config, 1, 88};
-  path.start(/*tick_horizon_us=*/3000 * kSecond);
+  path.start();
   sim.run_until(30 * kSecond);  // handshake retransmission is automatic now
   ASSERT_TRUE(path.initiator().established());
 

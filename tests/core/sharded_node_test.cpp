@@ -438,6 +438,29 @@ TEST(ShardedNodeThreadedTest, ControlOpsValidateBeforeEnqueue) {
   EXPECT_THROW(node.submit(2, Bytes(8, 0)), std::invalid_argument);
 }
 
+TEST(ShardedNodeThreadedTest, PollReturnsOnFirstRoutedFrame) {
+  auto transport = std::make_unique<net::UdpTransport>();
+  const std::uint16_t port = transport->port();
+  ShardedNode::Options opts;
+  opts.shard.config = udp_config();
+  opts.workers = 2;
+  ShardedNode node{std::move(transport), opts};
+  node.poll(0);  // launches the threads
+  // Sent once poll() below is waiting; any datagram is routed (one whose
+  // association id cannot be read goes to shard 0).
+  std::thread sender([port] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    net::UdpTransport tx;
+    tx.send(port, Bytes(16, 0x5a));
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::size_t routed = node.poll(5'000);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  sender.join();
+  EXPECT_GE(routed, 1u);
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+}
+
 TEST(ShardedNodeThreadedTest, WorkerInitRunsOncePerShard) {
   auto ta = std::make_unique<net::UdpTransport>();
   ShardedNode::Options opts;

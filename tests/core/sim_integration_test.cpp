@@ -64,7 +64,7 @@ TEST(SimIntegrationTest, ReliableDeliveryOverLossyPath) {
   config.max_retries = 30;
 
   Scenario sc{3, lossy, config, /*net_seed=*/99};
-  sc.path->start(/*tick_horizon_us=*/600 * kSecond);
+  sc.path->start();
   sc.sim.run_until(10 * kSecond);
   // Handshake is not retransmitted by design; if lost, re-start it.
   for (int attempt = 0; attempt < 20 && !sc.path->initiator().established();
@@ -244,7 +244,7 @@ TEST(SimIntegrationTest, ManyRoundsSustained) {
   config.chain_length = 512;
 
   Scenario sc{2, net::LinkConfig{}, config};
-  sc.path->start(/*tick_horizon_us=*/300 * kSecond);
+  sc.path->start();
   sc.sim.run_until(kSecond);
 
   for (int i = 0; i < 200; ++i) {
@@ -266,7 +266,7 @@ TEST(SimIntegrationTest, DeterministicAcrossRuns) {
     config.rto_us = 50 * kMillisecond;
     config.max_retries = 20;
     Scenario sc{2, lossy, config, /*net_seed=*/1234};
-    sc.path->start(600 * kSecond);
+    sc.path->start();
     sc.sim.run_until(5 * kSecond);
     for (int attempt = 0; attempt < 20 && !sc.path->initiator().established();
          ++attempt) {

@@ -54,7 +54,7 @@ TEST(TraceCompleteness, EveryFrameTerminatesInExactlyOneFate) {
   config.chain_length = 2048;
   core::ProtectedPath path{network, {0, 1, 2, 3}, config, 1, /*seed=*/99};
 
-  path.start(/*tick_horizon_us=*/600 * kSecond);
+  path.start();
   sim.run_until(sim.now() + 5 * kSecond);
   for (int attempt = 0; attempt < 50 && !path.initiator().established();
        ++attempt) {
