@@ -102,7 +102,9 @@ std::vector<Scenario> scenarios() {
     net::FaultConfig tremor = ge(0.15, 0.15, 0.03, 0.55);
     tremor.duplicate_rate = 0.02;
     tremor.reorder_rate = 0.05;
-    s.phases = {{0, mild}, {36 * kSecond, tremor}, {49 * kSecond, mild}};
+    s.phases.push_back({0, mild});
+    s.phases.push_back({36 * kSecond, tremor});
+    s.phases.push_back({49 * kSecond, mild});
     s.partitions = {{50'500 * kMillisecond, 46 * kSecond}};
     out.push_back(std::move(s));
   }
@@ -129,11 +131,11 @@ std::vector<Scenario> scenarios() {
     Scenario s;
     s.name = "loss_ramp";
     s.chaos_seed = 0xa1fa'0002;
-    s.phases = {{0, ge(0.0, 1.0, 0.0, 0.0)},
-                {30 * kSecond, ge(0.0, 1.0, 0.06, 0.0)},
-                {48 * kSecond, ge(0.0, 1.0, 0.22, 0.0)},
-                {60 * kSecond, ge(0.0, 1.0, 0.30, 0.0)},
-                {84 * kSecond, ge(0.0, 1.0, 0.02, 0.0)}};
+    s.phases.push_back({0, ge(0.0, 1.0, 0.0, 0.0)});
+    s.phases.push_back({30 * kSecond, ge(0.0, 1.0, 0.06, 0.0)});
+    s.phases.push_back({48 * kSecond, ge(0.0, 1.0, 0.22, 0.0)});
+    s.phases.push_back({60 * kSecond, ge(0.0, 1.0, 0.30, 0.0)});
+    s.phases.push_back({84 * kSecond, ge(0.0, 1.0, 0.02, 0.0)});
     s.partitions = {{67'500 * kMillisecond, 46 * kSecond}};
     out.push_back(std::move(s));
   }

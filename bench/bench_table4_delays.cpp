@@ -86,7 +86,8 @@ StepTimes measure_alpha_steps(int rounds) {
     t0 = Clock::now();
     signer.on_a1(a1, 0);  // verify ack element, emit S2
     sum.process_a1 += us_since(t0);
-    const auto s2 = std::get<wire::S2Packet>(*wire::decode(to_verifier.back()));
+    const crypto::Bytes s2_frame = to_verifier.back();
+    const auto s2 = *wire::parse_s2(s2_frame);
 
     t0 = Clock::now();
     verifier.on_s2(s2);  // verify disclosure + MAC, emit A2

@@ -76,13 +76,16 @@ class TriadFixture {
       relay_->on_frame(dir == kTowardVerifier ? core::Direction::kForward
                                               : core::Direction::kReverse,
                        frame);
+      if (dir == kTowardVerifier &&
+          wire::peek_type(frame) == wire::PacketType::kS2) {
+        if (const auto s2 = wire::parse_s2(frame)) verifier_->on_s2(*s2);
+        continue;
+      }
       const auto packet = wire::decode(frame);
       if (!packet.has_value()) continue;
       if (dir == kTowardVerifier) {
         if (const auto* s1 = std::get_if<wire::S1Packet>(&*packet)) {
           verifier_->on_s1(*s1);
-        } else if (const auto* s2 = std::get_if<wire::S2Packet>(&*packet)) {
-          verifier_->on_s2(*s2);
         }
       } else {
         if (const auto* a1 = std::get_if<wire::A1Packet>(&*packet)) {

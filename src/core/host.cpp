@@ -242,8 +242,11 @@ void Host::establish(const wire::HandshakePacket& peer, std::uint64_t now_us) {
 }
 
 void Host::on_frame(crypto::ByteView frame, std::uint64_t now_us) {
-  const auto packet = wire::decode(frame);
-  if (!packet.has_value()) {
+  // S2s, the steady-state traffic, take the zero-copy view (no heap).
+  const bool is_s2 = wire::peek_type(frame) == wire::PacketType::kS2;
+  const auto s2 = is_s2 ? wire::parse_s2(frame) : std::nullopt;
+  const auto packet = is_s2 ? std::nullopt : wire::decode(frame);
+  if (!s2.has_value() && !packet.has_value()) {
     // Corrupted in flight (or garbage injected); count it so chaos runs can
     // assert the rejection path fired.
     ++undecodable_frames_;
@@ -252,7 +255,8 @@ void Host::on_frame(crypto::ByteView frame, std::uint64_t now_us) {
     return;
   }
 
-  if (const auto* hs = std::get_if<wire::HandshakePacket>(&*packet)) {
+  if (const auto* hs =
+          packet ? std::get_if<wire::HandshakePacket>(&*packet) : nullptr) {
     const std::uint8_t hs_type = static_cast<std::uint8_t>(
         hs->is_response ? wire::PacketType::kHs2 : wire::PacketType::kHs1);
     const auto drop_hs = [&](trace::DropReason reason) {
@@ -412,10 +416,10 @@ void Host::on_frame(crypto::ByteView frame, std::uint64_t now_us) {
     }
     return;
   }
-  if (const auto* s1 = std::get_if<wire::S1Packet>(&*packet)) {
-    verifier_->on_s1(*s1);
-  } else if (const auto* s2 = std::get_if<wire::S2Packet>(&*packet)) {
+  if (s2.has_value()) {
     verifier_->on_s2(*s2);
+  } else if (const auto* s1 = std::get_if<wire::S1Packet>(&*packet)) {
+    verifier_->on_s1(*s1);
   } else if (const auto* a1 = std::get_if<wire::A1Packet>(&*packet)) {
     signer_->on_a1(*a1, now_us);
   } else if (const auto* a2 = std::get_if<wire::A2Packet>(&*packet)) {

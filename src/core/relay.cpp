@@ -3,15 +3,12 @@
 #include <chrono>
 
 #include "core/identity.hpp"
-#include "core/preack.hpp"
 #include "crypto/counter.hpp"
-#include "merkle/amt.hpp"
 #include "trace/prof.hpp"
 
 namespace alpha::core {
 
 namespace {
-constexpr std::size_t kMaxBatch = 4096;
 constexpr std::size_t kMaxRoundsPerFlow = 8;
 
 // Relay-side trace events identify the frame by peeking the header; the
@@ -56,6 +53,14 @@ RelayDecision RelayEngine::drop(RelayDecision decision, crypto::ByteView frame,
   ++stats_.dropped_by_reason[static_cast<std::size_t>(reason)];
   emit_relay_event(trace::EventKind::kPacketDropped, frame, reason);
   return decision;
+}
+
+RelayDecision RelayEngine::no_handshake(Direction dir,
+                                        crypto::ByteView frame) {
+  return options_.require_handshake
+             ? drop(RelayDecision::kDroppedUnsolicited, frame,
+                    trace::DropReason::kUnsolicited)
+             : forward(dir, frame);
 }
 
 RelayDecision RelayEngine::on_frame(Direction dir, crypto::ByteView frame) {
@@ -144,19 +149,12 @@ RelayDecision RelayEngine::handle_s1(Direction dir, const wire::S1Packet& s1,
                                      crypto::ByteView frame) {
   const auto it = assocs_.find(s1.hdr.assoc_id);
   if (it == assocs_.end() || !it->second.flows[static_cast<int>(dir)].sig) {
-    // No handshake observed on this flow.
-    return options_.require_handshake
-               ? drop(RelayDecision::kDroppedUnsolicited, frame,
-                      trace::DropReason::kUnsolicited)
-               : forward(dir, frame);
+    return no_handshake(dir, frame);
   }
   AssocState& assoc = it->second;
   FlowState& flow = assoc.flows[static_cast<int>(dir)];
 
-  const bool tree_mode =
-      s1.mode == Mode::kMerkle || s1.mode == Mode::kCumulativeMerkle;
-  const std::size_t count = tree_mode ? s1.leaf_count : s1.macs.size();
-  if (count == 0 || count > kMaxBatch) {
+  if (!S1Commitment::within_bound(s1)) {
     return drop(RelayDecision::kDroppedInvalid, frame,
                 trace::DropReason::kDecodeError);
   }
@@ -166,32 +164,13 @@ RelayDecision RelayEngine::handle_s1(Direction dir, const wire::S1Packet& s1,
     return forward(dir, frame);
   }
 
-  if (!hashchain::is_s1_index(s1.chain_index)) {
+  if (!authenticate_announcement(*flow.sig, s1.chain_element, s1.chain_index,
+                                 stats_.hashes)) {
     return drop(RelayDecision::kDroppedInvalid, frame,
                 trace::DropReason::kStaleChainIndex);
   }
-  {
-    const crypto::ScopedHashOps ops;
-    const bool ok = flow.sig->accept(s1.chain_element, s1.chain_index);
-    stats_.hashes.chain_verify += ops.delta().hash_finalizations;
-    if (!ok) return drop(RelayDecision::kDroppedInvalid, frame,
-                         trace::DropReason::kStaleChainIndex);
-  }
 
-  RelayRound round;
-  round.mode = s1.mode;
-  round.s1_index = s1.chain_index;
-  if (s1.mode == Mode::kMerkle) {
-    round.merkle_root = s1.merkle_root;
-    round.leaf_count = s1.leaf_count;
-  } else if (s1.mode == Mode::kCumulativeMerkle) {
-    round.merkle_roots = s1.merkle_roots;
-    round.group_size = s1.group_size;
-    round.leaf_count = s1.leaf_count;
-  } else {
-    round.macs = s1.macs;
-  }
-  flow.rounds.emplace(s1.hdr.seq, std::move(round));
+  flow.rounds.emplace(s1.hdr.seq, RelayRound(s1));
   while (flow.rounds.size() > kMaxRoundsPerFlow) {
     flow.rounds.erase(flow.rounds.begin());
   }
@@ -206,10 +185,7 @@ RelayDecision RelayEngine::handle_a1(Direction dir, const wire::A1Packet& a1,
   const auto it = assocs_.find(a1.hdr.assoc_id);
   if (it == assocs_.end() ||
       !it->second.flows[static_cast<int>(flow_dir)].ack) {
-    return options_.require_handshake
-               ? drop(RelayDecision::kDroppedUnsolicited, frame,
-                      trace::DropReason::kUnsolicited)
-               : forward(dir, frame);
+    return no_handshake(dir, frame);
   }
   FlowState& flow = it->second.flows[static_cast<int>(flow_dir)];
 
@@ -236,18 +212,13 @@ RelayDecision RelayEngine::handle_a1(Direction dir, const wire::A1Packet& a1,
   }
 
   if (a1.scheme == wire::AckScheme::kPreAck &&
-      a1.pre_acks.size() != round.message_count()) {
+      a1.pre_acks.size() != round.s1.message_count()) {
     return drop(RelayDecision::kDroppedInvalid, frame,
                 trace::DropReason::kDecodeError);
   }
 
   round.a1_seen = true;
-  round.scheme = a1.scheme;
-  round.a1_ack_index = a1.ack_chain_index;
-  round.pre_acks = a1.pre_acks;
-  round.pre_nacks = a1.pre_nacks;
-  round.amt_root = a1.amt_root;
-  round.amt_count = a1.amt_msg_count;
+  round.a1 = A1Commitment(a1);
   return forward(dir, frame);
 }
 
@@ -255,10 +226,7 @@ RelayDecision RelayEngine::handle_s2(Direction dir, const wire::S2View& s2,
                                      crypto::ByteView frame) {
   const auto it = assocs_.find(s2.hdr.assoc_id);
   if (it == assocs_.end() || !it->second.flows[static_cast<int>(dir)].sig) {
-    return options_.require_handshake
-               ? drop(RelayDecision::kDroppedUnsolicited, frame,
-                      trace::DropReason::kUnsolicited)
-               : forward(dir, frame);
+    return no_handshake(dir, frame);
   }
   FlowState& flow = it->second.flows[static_cast<int>(dir)];
 
@@ -275,61 +243,17 @@ RelayDecision RelayEngine::handle_s2(Direction dir, const wire::S2View& s2,
                 trace::DropReason::kUnsolicited);
   }
 
-  if (s2.mode != round.mode || s2.msg_index >= round.message_count() ||
-      s2.chain_index + 1 != round.s1_index) {
+  if (!round.s1.matches(s2)) {
     return drop(RelayDecision::kDroppedInvalid, frame,
                 trace::DropReason::kStaleChainIndex);
   }
-
-  // Authenticate the disclosed MAC key: the first S2 of the round pays the
-  // chain walk, every later one is a constant-time compare on the memo.
-  if (round.disclosed.has_value()) {
-    if (!round.disclosed->ct_equals(s2.disclosed_element)) {
-      return drop(RelayDecision::kDroppedInvalid, frame,
-                  trace::DropReason::kBadMac);
-    }
-  } else {
-    const crypto::ScopedHashOps ops;
-    const bool ok = flow.sig->accept_or_derive(s2.disclosed_element, s2.chain_index);
-    stats_.hashes.chain_verify += ops.delta().hash_finalizations;
-    if (!ok) return drop(RelayDecision::kDroppedInvalid, frame,
-                         trace::DropReason::kStaleChainIndex);
-    round.disclosed = s2.disclosed_element;
+  if (const auto reason =
+          round.s1.authenticate_key(s2, *flow.sig, stats_.hashes);
+      reason != trace::DropReason::kNone) {
+    return drop(RelayDecision::kDroppedInvalid, frame, reason);
   }
-
-  bool valid = false;
-  {
-    const crypto::ScopedHashOps ops;
-    const crypto::HashAlgo algo = it->second.algo;
-    if (round.mode == Mode::kMerkle) {
-      if (s2.has_path && s2.leaf_index == s2.msg_index) {
-        const crypto::Digest leaf = crypto::hash(algo, s2.payload);
-        s2.path_into(path_scratch_);
-        valid = merkle::MerkleTree::verify_keyed(
-            algo, s2.disclosed_element.view(), leaf, path_scratch_,
-            round.merkle_root);
-      }
-    } else if (round.mode == Mode::kCumulativeMerkle) {
-      const std::size_t group = s2.msg_index / round.group_size;
-      const std::size_t within = s2.msg_index % round.group_size;
-      if (s2.has_path && s2.leaf_index == within &&
-          group < round.merkle_roots.size()) {
-        const crypto::Digest leaf = crypto::hash(algo, s2.payload);
-        s2.path_into(path_scratch_);
-        valid = merkle::MerkleTree::verify_keyed(
-            algo, s2.disclosed_element.view(), leaf, path_scratch_,
-            round.merkle_roots[group]);
-      }
-    } else {
-      if (!round.mac_ctx.has_value()) {
-        round.mac_ctx.emplace(config_.mac_kind, algo,
-                              s2.disclosed_element.view());
-      }
-      valid = round.mac_ctx->verify(s2.payload, round.macs[s2.msg_index]);
-    }
-    stats_.hashes.signature += ops.delta().hash_finalizations;
-  }
-  if (!valid) {
+  if (!round.s1.verify_payload(s2, config_.mac_kind, it->second.algo,
+                               path_scratch_, stats_.hashes)) {
     return drop(RelayDecision::kDroppedInvalid, frame,
                 trace::DropReason::kBadMac);
   }
@@ -348,10 +272,7 @@ RelayDecision RelayEngine::handle_a2(Direction dir, const wire::A2Packet& a2,
   const auto it = assocs_.find(a2.hdr.assoc_id);
   if (it == assocs_.end() ||
       !it->second.flows[static_cast<int>(flow_dir)].ack) {
-    return options_.require_handshake
-               ? drop(RelayDecision::kDroppedUnsolicited, frame,
-                      trace::DropReason::kUnsolicited)
-               : forward(dir, frame);
+    return no_handshake(dir, frame);
   }
   FlowState& flow = it->second.flows[static_cast<int>(flow_dir)];
 
@@ -362,52 +283,20 @@ RelayDecision RelayEngine::handle_a2(Direction dir, const wire::A2Packet& a2,
   }
   RelayRound& round = round_it->second;
 
-  if (a2.scheme != round.scheme ||
-      a2.ack_chain_index + 1 != round.a1_ack_index ||
-      a2.msg_index >= round.message_count()) {
+  if (a2.scheme != round.a1.scheme ||
+      a2.ack_chain_index + 1 != round.a1.a1_ack_index ||
+      a2.msg_index >= round.s1.message_count()) {
     return drop(RelayDecision::kDroppedInvalid, frame,
                 trace::DropReason::kStaleChainIndex);
   }
 
-  if (round.ack_disclosed.has_value()) {
-    if (!round.ack_disclosed->ct_equals(a2.disclosed_ack_element)) {
-      return drop(RelayDecision::kDroppedInvalid, frame,
-                  trace::DropReason::kBadMac);
-    }
-  } else {
-    const crypto::ScopedHashOps ops;
-    const bool ok = flow.ack->accept_or_derive(a2.disclosed_ack_element,
-                                    a2.ack_chain_index);
-    stats_.hashes.chain_verify += ops.delta().hash_finalizations;
-    if (!ok) return drop(RelayDecision::kDroppedInvalid, frame,
-                         trace::DropReason::kStaleChainIndex);
-    round.ack_disclosed = a2.disclosed_ack_element;
+  if (const auto reason = authenticate_disclosure(
+          round.ack_disclosed, a2.disclosed_ack_element, a2.ack_chain_index,
+          *flow.ack, stats_.hashes);
+      reason != trace::DropReason::kNone) {
+    return drop(RelayDecision::kDroppedInvalid, frame, reason);
   }
-
-  bool valid = false;
-  const bool is_ack = a2.kind == wire::AckKind::kAck;
-  {
-    const crypto::ScopedHashOps ops;
-    const crypto::HashAlgo algo = it->second.algo;
-    if (round.scheme == wire::AckScheme::kPreAck) {
-      const crypto::Digest& committed = is_ack ? round.pre_acks[a2.msg_index]
-                                               : round.pre_nacks[a2.msg_index];
-      valid = verify_pre_ack(algo, a2.disclosed_ack_element, is_ack, a2.secret,
-                             committed);
-    } else if (round.scheme == wire::AckScheme::kAmt && a2.path.has_value()) {
-      merkle::AckMerkleTree::Proof proof;
-      proof.is_ack = is_ack;
-      proof.msg_index = a2.msg_index;
-      proof.secret = a2.secret;
-      proof.path = a2.path->to_auth_path();
-      valid = merkle::AckMerkleTree::verify(algo,
-                                            a2.disclosed_ack_element.view(),
-                                            proof, round.amt_root,
-                                            round.amt_count);
-    }
-    stats_.hashes.ack += ops.delta().hash_finalizations;
-  }
-  if (!valid) {
+  if (!round.a1.verify_proof(a2, it->second.algo, stats_.hashes)) {
     return drop(RelayDecision::kDroppedInvalid, frame,
                 trace::DropReason::kBadMac);
   }
@@ -422,17 +311,7 @@ std::size_t RelayEngine::buffered_bytes() const noexcept {
     const std::size_t h = crypto::digest_size(assoc.algo);
     for (const auto& flow : assoc.flows) {
       for (const auto& [seq, round] : flow.rounds) {
-        switch (round.mode) {
-          case Mode::kMerkle:
-            total += h;
-            break;
-          case Mode::kCumulativeMerkle:
-            total += round.merkle_roots.size() * h;
-            break;
-          default:
-            total += round.macs.size() * h;
-            break;
-        }
+        total += round.s1.buffered_bytes(h);
       }
     }
   }
@@ -445,11 +324,7 @@ std::size_t RelayEngine::ack_buffered_bytes() const noexcept {
     const std::size_t h = crypto::digest_size(assoc.algo);
     for (const auto& flow : assoc.flows) {
       for (const auto& [seq, round] : flow.rounds) {
-        if (round.scheme == wire::AckScheme::kPreAck) {
-          total += (round.pre_acks.size() + round.pre_nacks.size()) * h;
-        } else if (round.scheme == wire::AckScheme::kAmt) {
-          total += h;  // only the AMT root
-        }
+        total += round.a1.buffered_bytes(h);
       }
     }
   }

@@ -16,6 +16,10 @@
 //  * verifies disclosed (n)acks against the A1 commitments (§3.2.2), which
 //    lets on-path state machines act on confirmed delivery.
 //
+// The S2 and A2 checks are S1Commitment and A1Commitment (core/
+// commitment.hpp), the code the verifier and signer run too; the relay adds
+// only its flood policy (no S2 or A2 without an observed A1).
+//
 // A duplex association is two simplex flows; packet direction plus type
 // selects the flow (S1/S2 travel with the flow, A1/A2 against it).
 //
@@ -33,9 +37,9 @@
 #include <map>
 #include <optional>
 
+#include "core/commitment.hpp"
 #include "core/config.hpp"
 #include "core/stats.hpp"
-#include "crypto/mac.hpp"
 #include "hashchain/chain.hpp"
 #include "merkle/merkle.hpp"
 #include "trace/trace.hpp"
@@ -100,34 +104,12 @@ class RelayEngine {
 
  private:
   struct RelayRound {
-    Mode mode = Mode::kBase;
-    std::size_t s1_index = 0;
-    std::vector<crypto::Digest> macs;
-    crypto::Digest merkle_root;
-    std::uint16_t leaf_count = 0;
-    std::vector<crypto::Digest> merkle_roots;  // ALPHA-C+M
-    std::uint16_t group_size = 0;              // ALPHA-C+M
-    bool a1_seen = false;
+    explicit RelayRound(const wire::S1Packet& announced) : s1(announced) {}
 
-    wire::AckScheme scheme = wire::AckScheme::kNone;
-    std::size_t a1_ack_index = 0;
-    std::vector<crypto::Digest> pre_acks;
-    std::vector<crypto::Digest> pre_nacks;
-    crypto::Digest amt_root;
-    std::uint16_t amt_count = 0;
-
-    std::optional<crypto::Digest> disclosed;      // accepted MAC key
-    // Key schedule for `disclosed` (non-tree modes), shared by all S2
-    // checks of the round; uses the association's negotiated algorithm.
-    std::optional<crypto::MacContext> mac_ctx;
+    S1Commitment s1;
+    A1Commitment a1;
     std::optional<crypto::Digest> ack_disclosed;  // accepted A2 key
-
-    std::size_t message_count() const noexcept {
-      if (mode == Mode::kMerkle || mode == Mode::kCumulativeMerkle) {
-        return leaf_count;
-      }
-      return macs.size();
-    }
+    bool a1_seen = false;
   };
 
   struct FlowState {
@@ -157,6 +139,9 @@ class RelayEngine {
                           crypto::ByteView frame);
 
   RelayDecision forward(Direction dir, crypto::ByteView frame);
+  /// No handshake observed on the frame's flow: drop it as unsolicited, or
+  /// forward it unverified (incremental deployment).
+  RelayDecision no_handshake(Direction dir, crypto::ByteView frame);
   RelayDecision drop(RelayDecision decision, crypto::ByteView frame,
                      trace::DropReason reason);
 

@@ -3,9 +3,7 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "core/preack.hpp"
 #include "crypto/counter.hpp"
-#include "merkle/amt.hpp"
 #include "trace/trace.hpp"
 
 namespace alpha::core {
@@ -247,20 +245,11 @@ void SignerEngine::on_a1(const wire::A1Packet& a1, std::uint64_t now_us) {
 
   // The A1 is authenticated by an odd-index element of the verifier's
   // acknowledgment chain.
-  if (!hashchain::is_s1_index(a1.ack_chain_index)) {
+  if (!authenticate_announcement(ack_verifier_, a1.ack_element,
+                                 a1.ack_chain_index, stats_.hashes)) {
     ++stats_.invalid_packets;
     drop_a1(trace::DropReason::kStaleChainIndex);
     return;
-  }
-  {
-    const crypto::ScopedHashOps ops;
-    const bool ok = ack_verifier_.accept(a1.ack_element, a1.ack_chain_index);
-    stats_.hashes.chain_verify += ops.delta().hash_finalizations;
-    if (!ok) {
-      ++stats_.invalid_packets;
-      drop_a1(trace::DropReason::kStaleChainIndex);
-      return;
-    }
   }
 
   if (config_.reliable) {
@@ -271,26 +260,16 @@ void SignerEngine::on_a1(const wire::A1Packet& a1, std::uint64_t now_us) {
       drop_a1(trace::DropReason::kBadMac);
       return;
     }
-    if (a1.scheme == wire::AckScheme::kPreAck) {
-      if (a1.pre_acks.size() != round.messages.size()) {
-        ++stats_.invalid_packets;
-        drop_a1(trace::DropReason::kBadMac);
-        return;
-      }
-      round.pre_acks = a1.pre_acks;
-      round.pre_nacks = a1.pre_nacks;
-    } else {
-      if (a1.amt_msg_count != round.messages.size()) {
-        ++stats_.invalid_packets;
-        drop_a1(trace::DropReason::kBadMac);
-        return;
-      }
-      round.amt_root = a1.amt_root;
-      round.amt_count = a1.amt_msg_count;
+    const std::size_t committed = a1.scheme == wire::AckScheme::kPreAck
+                                      ? a1.pre_acks.size()
+                                      : a1.amt_msg_count;
+    if (committed != round.messages.size()) {
+      ++stats_.invalid_packets;
+      drop_a1(trace::DropReason::kBadMac);
+      return;
     }
-    round.scheme = a1.scheme;
   }
-  round.a1_ack_index = a1.ack_chain_index;
+  round.a1 = A1Commitment(a1);
   round.retries = 0;
   trace::emit(trace::EventKind::kPacketAccepted, assoc_id_, a1.hdr.seq,
               static_cast<std::uint8_t>(wire::PacketType::kA1));
@@ -322,7 +301,7 @@ void SignerEngine::on_a2(const wire::A2Packet& a2, std::uint64_t now_us) {
   Round& round = *round_;
 
   // A2 discloses the even-index ack element right below the A1's element.
-  if (a2.ack_chain_index + 1 != round.a1_ack_index) {
+  if (a2.ack_chain_index + 1 != round.a1.a1_ack_index) {
     ++stats_.invalid_packets;
     drop_a2(trace::DropReason::kStaleChainIndex);
     return;
@@ -339,7 +318,7 @@ void SignerEngine::on_a2(const wire::A2Packet& a2, std::uint64_t now_us) {
     }
   }
 
-  if (a2.scheme != round.scheme) {
+  if (a2.scheme != round.a1.scheme) {
     ++stats_.invalid_packets;
     drop_a2(trace::DropReason::kBadMac);
     return;
@@ -351,33 +330,13 @@ void SignerEngine::on_a2(const wire::A2Packet& a2, std::uint64_t now_us) {
     return;
   }
 
-  bool valid = false;
-  const bool is_ack = a2.kind == wire::AckKind::kAck;
-  {
-    const crypto::ScopedHashOps ops;
-    if (round.scheme == wire::AckScheme::kPreAck) {
-      const Digest& committed =
-          is_ack ? round.pre_acks[index] : round.pre_nacks[index];
-      valid = verify_pre_ack(config_.algo, a2.disclosed_ack_element, is_ack,
-                             a2.secret, committed);
-    } else if (round.scheme == wire::AckScheme::kAmt && a2.path.has_value()) {
-      merkle::AckMerkleTree::Proof proof;
-      proof.is_ack = is_ack;
-      proof.msg_index = a2.msg_index;
-      proof.secret = a2.secret;
-      proof.path = a2.path->to_auth_path();
-      valid = merkle::AckMerkleTree::verify(
-          config_.algo, a2.disclosed_ack_element.view(), proof, round.amt_root,
-          round.amt_count);
-    }
-    stats_.hashes.ack += ops.delta().hash_finalizations;
-  }
-  if (!valid) {
+  if (!round.a1.verify_proof(a2, config_.algo, stats_.hashes)) {
     ++stats_.invalid_packets;
     drop_a2(trace::DropReason::kBadMac);
     return;
   }
 
+  const bool is_ack = a2.kind == wire::AckKind::kAck;
   trace::emit(trace::EventKind::kPacketAccepted, assoc_id_, a2.hdr.seq,
               static_cast<std::uint8_t>(wire::PacketType::kA2),
               trace::DropReason::kNone, is_ack ? 1 : 0);

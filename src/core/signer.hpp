@@ -16,6 +16,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/commitment.hpp"
 #include "core/config.hpp"
 #include "core/stats.hpp"
 #include "hashchain/chain.hpp"
@@ -136,13 +137,7 @@ class SignerEngine {
     std::uint64_t last_send_us = 0;
     int retries = 0;
 
-    // Reliable-mode commitments from the A1.
-    wire::AckScheme scheme = wire::AckScheme::kNone;
-    std::vector<Digest> pre_acks;
-    std::vector<Digest> pre_nacks;
-    Digest amt_root;
-    std::uint16_t amt_count = 0;
-    std::size_t a1_ack_index = 0;  // odd ack element index from the A1
+    A1Commitment a1;  // the verifier's (n)ack commitments
     std::vector<std::uint8_t> settled;  // per message: 0 open, 1 done
     std::vector<std::uint8_t> nack_retries;  // selective-repeat budget used
     std::size_t settled_count = 0;

@@ -9,9 +9,6 @@
 namespace alpha::core {
 
 namespace {
-// Bounds pre-signature buffering per S1 against memory-exhaustion floods
-// (§3.5: relays and verifiers limit S1 size).
-constexpr std::size_t kMaxBatch = 4096;
 // Completed/stale rounds retained for idempotent duplicate handling.
 constexpr std::size_t kMaxPendingRounds = 8;
 }  // namespace
@@ -66,30 +63,18 @@ void VerifierEngine::on_s1(const wire::S1Packet& s1) {
     return;
   }
 
-  const bool tree_mode =
-      s1.mode == Mode::kMerkle || s1.mode == Mode::kCumulativeMerkle;
-  const std::size_t count = tree_mode ? s1.leaf_count : s1.macs.size();
-  if (count == 0 || count > kMaxBatch) {
+  if (!S1Commitment::within_bound(s1)) {
     ++stats_.invalid_packets;
     drop_s1(trace::DropReason::kDecodeError);
     return;
   }
 
   // The S1 must be authenticated by a fresh odd-index chain element.
-  if (!hashchain::is_s1_index(s1.chain_index)) {
+  if (!authenticate_announcement(sig_verifier_, s1.chain_element,
+                                 s1.chain_index, stats_.hashes)) {
     ++stats_.invalid_packets;
     drop_s1(trace::DropReason::kStaleChainIndex);
     return;
-  }
-  {
-    const crypto::ScopedHashOps ops;
-    const bool ok = sig_verifier_.accept(s1.chain_element, s1.chain_index);
-    stats_.hashes.chain_verify += ops.delta().hash_finalizations;
-    if (!ok) {
-      ++stats_.invalid_packets;
-      drop_s1(trace::DropReason::kStaleChainIndex);
-      return;
-    }
   }
 
   if (walker_.remaining() < 2) {  // ack chain exhausted: deny
@@ -97,20 +82,8 @@ void VerifierEngine::on_s1(const wire::S1Packet& s1) {
     return;
   }
 
-  PendingRound round;
-  round.mode = s1.mode;
-  round.s1_index = s1.chain_index;
-  round.s1_element = s1.chain_element;
-  if (s1.mode == Mode::kMerkle) {
-    round.merkle_root = s1.merkle_root;
-    round.leaf_count = s1.leaf_count;
-  } else if (s1.mode == Mode::kCumulativeMerkle) {
-    round.merkle_roots = s1.merkle_roots;
-    round.group_size = s1.group_size;
-    round.leaf_count = s1.leaf_count;
-  } else {
-    round.macs = s1.macs;
-  }
+  PendingRound round(s1);
+  const std::size_t count = round.s1.message_count();
   round.received.assign(count, 0);
 
   // Two ack-chain elements per round: h^Va_i (odd, authenticates the A1)
@@ -127,7 +100,7 @@ void VerifierEngine::on_s1(const wire::S1Packet& s1) {
 
   if (config_.reliable) {
     const crypto::ScopedHashOps ops;
-    if (tree_mode) {
+    if (s1.mode == Mode::kMerkle || s1.mode == Mode::kCumulativeMerkle) {
       a1.scheme = wire::AckScheme::kAmt;
       round.amt.emplace(config_.algo, count, *rng_, config_.secret_size);
       a1.amt_root = round.amt->keyed_root(round.ack_key.view());
@@ -162,7 +135,7 @@ void VerifierEngine::on_s1(const wire::S1Packet& s1) {
   retire_old_rounds();
 }
 
-void VerifierEngine::on_s2(const wire::S2Packet& s2) {
+void VerifierEngine::on_s2(const wire::S2View& s2) {
   if (s2.hdr.assoc_id != assoc_id_) return;
   const auto drop_s2 = [&](trace::DropReason reason) {
     trace::emit(trace::EventKind::kPacketDropped, assoc_id_, s2.hdr.seq,
@@ -177,8 +150,7 @@ void VerifierEngine::on_s2(const wire::S2Packet& s2) {
   }
   PendingRound& round = it->second;
 
-  if (s2.mode != round.mode || s2.msg_index >= round.message_count() ||
-      s2.chain_index + 1 != round.s1_index) {
+  if (!round.s1.matches(s2)) {
     ++stats_.invalid_packets;
     drop_s2(trace::DropReason::kStaleChainIndex);
     return;
@@ -195,61 +167,17 @@ void VerifierEngine::on_s2(const wire::S2Packet& s2) {
     return;
   }
 
-  // Authenticate the disclosed MAC key h_{i-1} (even index).
-  if (round.disclosed.has_value()) {
-    if (!round.disclosed->ct_equals(s2.disclosed_element)) {
-      ++stats_.invalid_packets;
-      drop_s2(trace::DropReason::kBadMac);
-      return;
-    }
-  } else {
-    // accept_or_derive: a jittery link may deliver the next round's S1
-    // (advancing the chain state) before this round's S2; the disclosed
-    // element is then derivable rather than freshly acceptable.
-    const crypto::ScopedHashOps ops;
-    const bool ok = sig_verifier_.accept_or_derive(s2.disclosed_element,
-                                                   s2.chain_index);
-    stats_.hashes.chain_verify += ops.delta().hash_finalizations;
-    if (!ok) {
-      ++stats_.invalid_packets;
-      drop_s2(trace::DropReason::kStaleChainIndex);
-      return;
-    }
-    round.disclosed = s2.disclosed_element;
+  // Authenticate the disclosed MAC key h_{i-1} (even index), then check
+  // the payload against the buffered pre-signature.
+  if (const auto reason =
+          round.s1.authenticate_key(s2, sig_verifier_, stats_.hashes);
+      reason != trace::DropReason::kNone) {
+    ++stats_.invalid_packets;
+    drop_s2(reason);
+    return;
   }
-
-  // Check the payload against the buffered pre-signature.
-  bool valid = false;
-  {
-    const crypto::ScopedHashOps ops;
-    if (round.mode == Mode::kMerkle) {
-      if (s2.path.has_value() && s2.path->leaf_index == s2.msg_index) {
-        const crypto::Digest leaf = crypto::hash(config_.algo, s2.payload);
-        valid = merkle::MerkleTree::verify_keyed(
-            config_.algo, s2.disclosed_element.view(), leaf,
-            s2.path->to_auth_path(), round.merkle_root);
-      }
-    } else if (round.mode == Mode::kCumulativeMerkle) {
-      const std::size_t group = s2.msg_index / round.group_size;
-      const std::size_t within = s2.msg_index % round.group_size;
-      if (s2.path.has_value() && s2.path->leaf_index == within &&
-          group < round.merkle_roots.size()) {
-        const crypto::Digest leaf = crypto::hash(config_.algo, s2.payload);
-        valid = merkle::MerkleTree::verify_keyed(
-            config_.algo, s2.disclosed_element.view(), leaf,
-            s2.path->to_auth_path(), round.merkle_roots[group]);
-      }
-    } else {
-      if (!round.mac_ctx.has_value()) {
-        round.mac_ctx.emplace(config_.mac_kind, config_.algo,
-                              s2.disclosed_element.view());
-      }
-      valid = round.mac_ctx->verify(s2.payload, round.macs[s2.msg_index]);
-    }
-    stats_.hashes.signature += ops.delta().hash_finalizations;
-  }
-
-  if (!valid) {
+  if (!round.s1.verify_payload(s2, config_.mac_kind, config_.algo,
+                               path_scratch_, stats_.hashes)) {
     ++stats_.invalid_packets;
     drop_s2(trace::DropReason::kBadMac);
     if (config_.reliable) {
@@ -259,7 +187,6 @@ void VerifierEngine::on_s2(const wire::S2Packet& s2) {
   }
 
   round.received[s2.msg_index] = 1;
-  ++round.delivered;
   ++stats_.s2_accepted;
   ++stats_.messages_delivered;
   trace::emit(trace::EventKind::kPacketAccepted, assoc_id_, s2.hdr.seq,
@@ -316,17 +243,7 @@ std::size_t VerifierEngine::buffered_bytes() const noexcept {
   const std::size_t h = config_.digest_size();
   std::size_t total = 0;
   for (const auto& [seq, round] : rounds_) {
-    switch (round.mode) {
-      case Mode::kMerkle:
-        total += h;
-        break;
-      case Mode::kCumulativeMerkle:
-        total += round.merkle_roots.size() * h;
-        break;
-      default:
-        total += round.macs.size() * h;
-        break;
-    }
+    total += round.s1.buffered_bytes(h);
   }
   return total;
 }

@@ -9,6 +9,10 @@
 //
 // Duplicate S1/S2 packets (retransmissions) are answered idempotently from
 // cached frames, so a lossy network converges without protocol state drift.
+//
+// The S2 check is S1Commitment (core/commitment.hpp), the code every relay
+// on the path runs. S2s arrive as zero-copy wire::S2View: delivering one
+// does not touch the heap.
 #pragma once
 
 #include <functional>
@@ -16,9 +20,9 @@
 #include <optional>
 #include <vector>
 
+#include "core/commitment.hpp"
 #include "core/config.hpp"
 #include "core/stats.hpp"
-#include "crypto/mac.hpp"
 #include "hashchain/chain.hpp"
 #include "merkle/amt.hpp"
 #include "wire/packets.hpp"
@@ -44,7 +48,9 @@ class VerifierEngine {
                  crypto::RandomSource& rng);
 
   void on_s1(const wire::S1Packet& s1);
-  void on_s2(const wire::S2Packet& s2);
+  /// `s2` borrows from its frame (wire::parse_s2), which must outlive the
+  /// call; the payload handed to on_message is a view into that frame.
+  void on_s2(const wire::S2View& s2);
 
   /// Flood mitigation (§3.5): when false, S1 packets are ignored instead of
   /// answered, so unsolicited data cannot obtain the A1 it needs to travel.
@@ -62,14 +68,11 @@ class VerifierEngine {
 
  private:
   struct PendingRound {
-    Mode mode = Mode::kBase;
-    std::size_t s1_index = 0;       // odd element index from the S1
+    explicit PendingRound(const wire::S1Packet& announced)
+        : s1(announced), s1_element(announced.chain_element) {}
+
+    S1Commitment s1;
     crypto::Digest s1_element;      // for duplicate detection
-    std::vector<crypto::Digest> macs;
-    crypto::Digest merkle_root;
-    std::uint16_t leaf_count = 0;
-    std::vector<crypto::Digest> merkle_roots;  // ALPHA-C+M
-    std::uint16_t group_size = 0;              // ALPHA-C+M
     crypto::Bytes a1_frame;         // cached for duplicate S1
 
     // Reliable mode state.
@@ -79,20 +82,8 @@ class VerifierEngine {
     std::vector<crypto::Bytes> nack_secrets;
     std::optional<merkle::AckMerkleTree> amt;
 
-    std::optional<crypto::Digest> disclosed;  // accepted MAC key
-    // Key schedule for `disclosed`, built once per round (non-tree modes):
-    // every remaining S2 of the round verifies under the same key.
-    std::optional<crypto::MacContext> mac_ctx;
     std::vector<std::uint8_t> received;       // 1 once delivered
-    std::size_t delivered = 0;
     std::map<std::uint16_t, crypto::Bytes> a2_frames;  // idempotent resend
-
-    std::size_t message_count() const noexcept {
-      if (mode == Mode::kMerkle || mode == Mode::kCumulativeMerkle) {
-        return leaf_count;
-      }
-      return macs.size();
-    }
   };
 
   void send_a2(PendingRound& round, std::uint32_t seq, std::uint16_t index,
@@ -109,6 +100,7 @@ class VerifierEngine {
   bool accepting_ = true;
 
   std::map<std::uint32_t, PendingRound> rounds_;  // by seq
+  merkle::AuthPath path_scratch_;  // recycled {Bc} decode target
   VerifierStats stats_;
 };
 

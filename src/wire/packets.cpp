@@ -367,6 +367,23 @@ void S2View::path_into(merkle::AuthPath& out) const {
 std::optional<Packet> decode(ByteView data) {
   const auto type = peek_type(data);
   if (!type.has_value()) return std::nullopt;
+  if (*type == PacketType::kS2) {
+    const auto view = parse_s2(data);
+    if (!view.has_value()) return std::nullopt;
+    S2Packet p;
+    p.hdr = view->hdr;
+    p.mode = view->mode;
+    p.chain_index = view->chain_index;
+    p.disclosed_element = view->disclosed_element;
+    p.msg_index = view->msg_index;
+    p.payload.assign(view->payload.begin(), view->payload.end());
+    if (view->has_path) {
+      merkle::AuthPath path;
+      view->path_into(path);
+      p.path = WirePath{view->leaf_index, std::move(path.siblings)};
+    }
+    return p;
+  }
   // Checksum first: a frame that fails the CRC is link noise, not a
   // protocol message, and none of its fields may reach engine state.
   const auto body = unseal(data);
@@ -431,18 +448,8 @@ std::optional<Packet> decode(ByteView data) {
         r.expect_end();
         return p;
       }
-      case PacketType::kS2: {
-        S2Packet p;
-        p.hdr = read_header(r, PacketType::kS2);
-        p.mode = read_mode(r);
-        p.chain_index = r.u32();
-        p.disclosed_element = r.digest();
-        p.msg_index = r.u16();
-        if (r.u8() != 0) p.path = read_path(r);
-        p.payload = r.blob16();
-        r.expect_end();
-        return p;
-      }
+      case PacketType::kS2:
+        break;  // decoded from parse_s2's view above
       case PacketType::kA2: {
         A2Packet p;
         p.hdr = read_header(r, PacketType::kA2);
@@ -488,9 +495,9 @@ std::optional<Packet> decode(ByteView data) {
           rc.rekey_threshold = r.u32();
           // Engine invariants, enforced at the trust boundary: a peer (or
           // flipped bit the CRC missed) must not be able to announce a
-          // profile the engines cannot run. 4096 mirrors the verifier's
-          // per-round kMaxBatch flood guard.
-          if (rc.batch_size == 0 || rc.batch_size > 4096 ||
+          // profile the engines cannot run, nor one their own S1 flood
+          // bound would refuse.
+          if (rc.batch_size == 0 || rc.batch_size > kMaxBatch ||
               rc.merkle_group == 0 || rc.max_retries == 0) {
             throw DecodeError("bad reconfig");
           }

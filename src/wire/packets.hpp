@@ -7,6 +7,8 @@
 // hash profiles (16/20/32-byte digests) share one format.
 //
 // Decoding is total: decode() returns std::nullopt for any malformed input.
+// The S2 grammar is written once, in the zero-copy parse_s2(); decode()'s
+// S2Packet is a copy of its view.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +48,11 @@ enum class Mode : std::uint8_t {
 };
 
 constexpr std::uint8_t kWireVersion = 1;
+
+/// Most messages one round may pre-sign: the flood bound (§3.5) relays and
+/// verifiers apply to every S1 before buffering its pre-signatures, and the
+/// largest batch a reconfiguration may announce.
+constexpr std::size_t kMaxBatch = 4096;
 
 /// Every encoded frame ends in a CRC-32 trailer over the preceding bytes.
 /// ALPHA assumes the link layer detects bit errors; on links that corrupt
@@ -215,11 +222,10 @@ using Packet = std::variant<S1Packet, A1Packet, S2Packet, A2Packet,
 /// Decodes any ALPHA packet; nullopt on malformed input.
 std::optional<Packet> decode(ByteView data);
 
-/// Zero-copy view of an encoded S2 frame -- the relay data hot path. A
-/// forwarding node touches every S2 of every flow it carries, so parsing
-/// one must not hit the heap: parse_s2 verifies the CRC trailer and every
-/// bound exactly like decode() (a frame is viewable iff it is decodable),
-/// but borrows the payload and {Bc} bytes from the frame instead of copying
+/// Zero-copy view of an encoded S2 frame -- the data hot path of relays and
+/// hosts. Every S2 of every flow passes through it, so parsing one must not
+/// hit the heap: parse_s2 verifies the CRC trailer and every bound, but
+/// borrows the payload and {Bc} bytes from the frame instead of copying
 /// them out. The views stay valid only as long as the frame bytes do.
 struct S2View {
   Header hdr;

@@ -97,7 +97,8 @@ TEST(EdgeCaseTest, MsgIndexOutOfRangeRejected) {
     } else if (const auto* s2 = std::get_if<wire::S2Packet>(&*packet)) {
       wire::S2Packet bad = *s2;
       bad.msg_index = 99;
-      verifier.on_s2(bad);
+      const Bytes bad_frame = bad.encode();
+      verifier.on_s2(*wire::parse_s2(bad_frame));
     }
   });
   bus.attach(0, [&](ByteView frame) {
@@ -229,11 +230,10 @@ TEST(EdgeCaseTest, A2ReplayDoesNotDoubleSettle) {
   VerifierEngine verifier{config, 1,     ack,           sig.anchor(),
                           sig.length(),  std::move(vcb), rng};
   bus.attach(1, [&](ByteView frame) {
+    if (const auto s2 = wire::parse_s2(frame)) return verifier.on_s2(*s2);
     const auto packet = wire::decode(frame);
     if (const auto* s1 = std::get_if<wire::S1Packet>(&*packet)) {
       verifier.on_s1(*s1);
-    } else if (const auto* s2 = std::get_if<wire::S2Packet>(&*packet)) {
-      verifier.on_s2(*s2);
     }
   });
   bus.attach(0, [&](ByteView frame) {

@@ -53,12 +53,16 @@ struct EnginePair {
       }
     });
     bus.attach(kVerifier, [this](ByteView frame) {
+      if (wire::peek_type(frame) == wire::PacketType::kS2) {
+        const auto s2 = wire::parse_s2(frame);
+        ASSERT_TRUE(s2.has_value());
+        verifier->on_s2(*s2);
+        return;
+      }
       const auto packet = wire::decode(frame);
       ASSERT_TRUE(packet.has_value());
       if (const auto* s1 = std::get_if<wire::S1Packet>(&*packet)) {
         verifier->on_s1(*s1);
-      } else if (const auto* s2 = std::get_if<wire::S2Packet>(&*packet)) {
-        verifier->on_s2(*s2);
       }
     });
   }
@@ -408,7 +412,8 @@ TEST(EngineSecurityTest, UnsolicitedS2Dropped) {
   s2.chain_index = 100;
   s2.disclosed_element = crypto::Digest{ByteView{Bytes(20, 1)}};
   s2.payload = msg("flood");
-  pair.verifier->on_s2(s2);
+  const Bytes frame = s2.encode();
+  pair.verifier->on_s2(*wire::parse_s2(frame));
   EXPECT_EQ(pair.verifier->stats().invalid_packets, 1u);
   EXPECT_TRUE(pair.received.empty());
 }
@@ -521,7 +526,7 @@ TEST(EngineReorderTest, NextRoundS1OvertakingS2StillDelivers) {
   // Now deliver the held S2s *after* the newer S1s: both must verify.
   pair.bus.set_hook(nullptr);
   for (const auto& frame : held_s2) {
-    pair.verifier->on_s2(std::get<wire::S2Packet>(*wire::decode(frame)));
+    pair.verifier->on_s2(*wire::parse_s2(frame));
   }
   ASSERT_EQ(pair.received.size(), 2u);
   EXPECT_EQ(std::get<2>(pair.received[0]), msg("round one"));

@@ -55,12 +55,16 @@ struct EnginePair {
       }
     });
     bus.attach(1, [this](ByteView frame) {
+      if (wire::peek_type(frame) == wire::PacketType::kS2) {
+        const auto s2 = wire::parse_s2(frame);
+        ASSERT_TRUE(s2.has_value());
+        verifier->on_s2(*s2);
+        return;
+      }
       const auto packet = wire::decode(frame);
       ASSERT_TRUE(packet.has_value());
       if (const auto* s1 = std::get_if<wire::S1Packet>(&*packet)) {
         verifier->on_s1(*s1);
-      } else if (const auto* s2 = std::get_if<wire::S2Packet>(&*packet)) {
-        verifier->on_s2(*s2);
       }
     });
   }

@@ -50,7 +50,7 @@ struct CapturedRound {
     cap.a1 = to_s.at(0);
     signer.on_a1(std::get<wire::A1Packet>(*wire::decode(cap.a1)), 0);
     cap.s2 = to_v.at(1);
-    verifier.on_s2(std::get<wire::S2Packet>(*wire::decode(cap.s2)));
+    verifier.on_s2(*wire::parse_s2(cap.s2));
     cap.a2 = to_s.at(1);
     return cap;
   }
@@ -76,12 +76,11 @@ struct FreshVerifier {
 };
 
 void feed(VerifierEngine& v, ByteView frame) {
+  if (const auto s2 = wire::parse_s2(frame)) return v.on_s2(*s2);
   const auto packet = wire::decode(frame);
   if (!packet.has_value()) return;
   if (const auto* s1 = std::get_if<wire::S1Packet>(&*packet)) {
     v.on_s1(*s1);
-  } else if (const auto* s2 = std::get_if<wire::S2Packet>(&*packet)) {
-    v.on_s2(*s2);
   }
 }
 

@@ -1,8 +1,8 @@
-// Zero-allocation assertions for the relay data fast path. This binary
+// Zero-allocation assertions for the S2 data fast path. This binary
 // replaces global operator new/delete (alloc_hook.hpp: exactly one TU per
 // binary) and proves that a steady-state S2 -- peek, zero-copy parse_s2,
-// chain accept, keyed MAC or Merkle verify, forward -- costs literally zero
-// heap allocations per frame once the relay is warm.
+// chain accept, keyed MAC or Merkle verify, then forward (relay) or deliver
+// (Host) -- costs literally zero heap allocations per frame once warm.
 //
 // Control traffic (S1/A1/A2) still goes through the allocating full decode,
 // so the measurement brackets ONLY the S2 frames: the rounds' S1s and A1s
@@ -133,6 +133,81 @@ TEST(RelayAllocFree, MerkleS2ForwardIsAllocationFree) {
   config.batch_size = 8;
   config.chain_length = 4096;
   expect_s2_forward_allocation_free(config);
+}
+
+/// Runs `kWarmup + kMeasured` unreliable messages of `config` between two
+/// Hosts and checks that each of the last kMeasured S2s was authenticated
+/// and delivered through Host::on_frame at zero heap allocations.
+void expect_s2_delivery_allocation_free(const Config& config) {
+  const int kWarmup = 16;
+  const int kMeasured = 64;
+  std::deque<ScheduledFrame> queue;
+  crypto::HmacDrbg rng_a(1), rng_b(2);
+  std::uint64_t delivered = 0;
+  Host::Callbacks a_cb;
+  a_cb.send = [&](Bytes f) {
+    queue.push_back({Direction::kForward, std::move(f)});
+  };
+  Host a(config, /*assoc_id=*/7, /*initiator=*/true, rng_a, std::move(a_cb));
+  Host::Callbacks b_cb;
+  b_cb.send = [&](Bytes f) {
+    queue.push_back({Direction::kReverse, std::move(f)});
+  };
+  b_cb.on_message = [&](ByteView) { ++delivered; };
+  Host b(config, /*assoc_id=*/7, /*initiator=*/false, rng_b, std::move(b_cb));
+
+  int s2_seen = 0;
+  std::uint64_t measured_s2 = 0;
+  std::uint64_t delta = 0;
+  const auto pump = [&] {
+    while (!queue.empty()) {
+      ScheduledFrame f = std::move(queue.front());
+      queue.pop_front();
+      Host& to = f.dir == Direction::kForward ? b : a;
+      if (!is_s2(f) || ++s2_seen <= kWarmup) {
+        to.on_frame(f.frame, 0);
+        continue;
+      }
+      ++measured_s2;
+      const ScopedAllocCount allocs;
+      to.on_frame(f.frame, 0);
+      delta += allocs.delta();
+    }
+  };
+  a.start();
+  pump();
+  ASSERT_TRUE(a.established());
+  for (int i = 0; i < kWarmup + kMeasured; ++i) {
+    a.submit(Bytes(256, static_cast<std::uint8_t>(i)), 0);
+    pump();
+  }
+
+  EXPECT_EQ(measured_s2, static_cast<std::uint64_t>(kMeasured));
+  // Every message was delivered, the measured ones included...
+  EXPECT_EQ(delivered, static_cast<std::uint64_t>(kWarmup + kMeasured));
+  EXPECT_EQ(b.verifier()->stats().invalid_packets, 0u);
+  // ...at zero heap allocations per S2.
+  EXPECT_EQ(delta, 0u);
+}
+
+TEST(VerifierAllocFree, VerifierS2DeliveryIsAllocationFree) {
+  // ALPHA-C, unreliable: one MAC check per S2 under the round's memoized
+  // key schedule, no A2 to encode.
+  Config config;
+  config.mode = Mode::kCumulative;
+  config.batch_size = 8;
+  config.chain_length = 4096;  // no rekey inside the measured window
+  expect_s2_delivery_allocation_free(config);
+}
+
+TEST(VerifierAllocFree, MerkleS2DeliveryIsAllocationFree) {
+  // ALPHA-M, unreliable: the {Bc} branch set decodes into the verifier's
+  // recycled scratch path.
+  Config config;
+  config.mode = Mode::kMerkle;
+  config.batch_size = 8;
+  config.chain_length = 4096;
+  expect_s2_delivery_allocation_free(config);
 }
 
 }  // namespace

@@ -140,9 +140,9 @@ TEST(RobustnessTest, ZeroLengthPayloadRoundtrips) {
   VerifierEngine verifier{config, 1,    ack,           sig.anchor(),
                           sig.length(), std::move(vcb), rng};
   bus.attach(1, [&](ByteView f) {
+    if (const auto s2 = wire::parse_s2(f)) return verifier.on_s2(*s2);
     const auto p = wire::decode(f);
     if (const auto* s1 = std::get_if<wire::S1Packet>(&*p)) verifier.on_s1(*s1);
-    if (const auto* s2 = std::get_if<wire::S2Packet>(&*p)) verifier.on_s2(*s2);
   });
   bus.attach(0, [&](ByteView f) {
     const auto p = wire::decode(f);
