@@ -1,13 +1,13 @@
 // Hot-path microbenchmarks with a machine-readable perf trajectory.
 //
 // Measures the per-operation cost of the signed-packet hot path -- chain
-// step, prefix MAC, cached HMAC, Merkle batch signing, amortized chain
-// traversal -- in three dimensions: wall-clock ns/op, hash compressions/op
-// (HashOpCounter) and heap allocations/op (alloc_hook). Results go to
-// BENCH_hotpath.json (schema in EXPERIMENTS.md) so successive commits can
-// be compared; the "legacy" variants reconstruct the pre-optimization path
-// (heap-allocated one-shot hasher, scalar compression, per-call HMAC key
-// schedule) for an in-tree speedup baseline.
+// step, chain generation, prefix MAC, cached HMAC, Merkle batch signing,
+// amortized chain traversal -- in three dimensions: wall-clock ns/op, hash
+// compressions/op (HashOpCounter) and heap allocations/op (alloc_hook).
+// Results go to BENCH_hotpath.json (schema in EXPERIMENTS.md) so successive
+// commits can be compared; the "legacy" variants reconstruct the
+// pre-optimization path (heap-allocated one-shot hasher, scalar compression,
+// per-call HMAC key schedule) for an in-tree speedup baseline.
 #include <chrono>
 #include <cstdio>
 #include <optional>
@@ -188,6 +188,37 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Chain generation, the bulk of an association's setup: 1024 steps from
+  // a fixed seed. ns and hash ops are per step, allocations per chain (the
+  // pebble and cache vectors). Exactly one hash per step, or the run fails.
+  bool generate_one_hash_per_step = true;
+  {
+    constexpr std::size_t kSteps = 1024;
+    const auto algo = crypto::HashAlgo::kSha1;
+    const crypto::Bytes seed = rng.bytes(crypto::digest_size(algo));
+    const Sample chain = measure(2000, [&] {
+      const hashchain::HashChain built(
+          algo, hashchain::ChainTagging::kRoleBound, seed, kSteps);
+      sink(built.anchor());
+    });
+    const double steps = static_cast<double>(kSteps);
+    json.begin_object()
+        .field("name", "chain_generate_1024")
+        .field("algo", crypto::to_string(algo))
+        .field("ns_per_op", chain.ns_per_op / steps)
+        .field("hash_ops_per_op", chain.hash_ops_per_op / steps)
+        .field("allocs_per_op", chain.allocs_per_op / steps)
+        .field("allocs_per_chain", chain.allocs_per_op)
+        .end_object();
+    std::printf("%-28s %-12s %10.1f ns/step %5.2f hash/step %7.3f "
+                "alloc/chain\n",
+                "chain_generate_1024",
+                std::string(crypto::to_string(algo)).c_str(),
+                chain.ns_per_op / steps, chain.hash_ops_per_op / steps,
+                chain.allocs_per_op);
+    generate_one_hash_per_step = chain.hash_ops_per_op == steps;
+  }
+
   for (const auto algo : {crypto::HashAlgo::kSha1, crypto::HashAlgo::kMmo128}) {
     const crypto::MacContext prefix(crypto::MacKind::kPrefix, algo,
                                     key.view());
@@ -292,6 +323,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s\n", out_path.c_str());
+  if (!generate_one_hash_per_step) {
+    std::fprintf(stderr, "chain_generate_1024 spent other than one hash op "
+                         "per step\n");
+    return 1;
+  }
   if (!walk_within_bound) {
     std::fprintf(stderr, "chain_walk_2e14 exceeded n + spacing hash ops\n");
     return 1;

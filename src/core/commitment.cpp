@@ -117,6 +117,22 @@ std::size_t A1Commitment::buffered_bytes(std::size_t h) const noexcept {
   return scheme == wire::AckScheme::kAmt ? h : 0;  // only the AMT root
 }
 
+bool A1Commitment::repeated_by(const wire::A1Packet& a1,
+                               hashchain::ChainVerifier& chain,
+                               HashWork& hashes) const {
+  if (a1.ack_chain_index != a1_ack_index || a1.scheme != scheme ||
+      a1.amt_msg_count != amt_count || a1.amt_root != amt_root ||
+      a1.pre_acks != pre_acks || a1.pre_nacks != pre_nacks) {
+    return false;
+  }
+  // An accepted index is at or above the chain's last one: accept_or_derive
+  // compares or derives there, never advances.
+  const crypto::ScopedHashOps ops;
+  const bool ok = chain.accept_or_derive(a1.ack_element, a1.ack_chain_index);
+  hashes.chain_verify += ops.delta().hash_finalizations;
+  return ok;
+}
+
 bool A1Commitment::verify_proof(const wire::A2Packet& a2,
                                 crypto::HashAlgo algo,
                                 HashWork& hashes) const {

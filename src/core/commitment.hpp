@@ -93,6 +93,12 @@ struct A1Commitment {
   /// Table 3 relay column: 2n*h for pre-(n)acks, h for an AMT root.
   std::size_t buffered_bytes(std::size_t h) const noexcept;
 
+  /// True when `a1` repeats the A1 this commitment was taken from: the same
+  /// index and commitments, and an element that is `chain`'s h_index. The
+  /// element is derived from the chain's state, which it leaves unchanged.
+  bool repeated_by(const wire::A1Packet& a1, hashchain::ChainVerifier& chain,
+                   HashWork& hashes) const;
+
   /// The disclosed (n)ack against the commitment; the caller has matched
   /// the A2's scheme and index and authenticated its key.
   bool verify_proof(const wire::A2Packet& a2, crypto::HashAlgo algo,

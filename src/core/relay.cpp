@@ -202,13 +202,21 @@ RelayDecision RelayEngine::handle_a1(Direction dir, const wire::A1Packet& a1,
     return drop(RelayDecision::kDroppedInvalid, frame,
                 trace::DropReason::kStaleChainIndex);
   }
-  {
-    const crypto::ScopedHashOps ops;
-    const bool ok = flow.ack->accept_or_derive(a1.ack_element,
-                                    a1.ack_chain_index);
-    stats_.hashes.chain_verify += ops.delta().hash_finalizations;
-    if (!ok) return drop(RelayDecision::kDroppedInvalid, frame,
-                         trace::DropReason::kStaleChainIndex);
+  if (round.a1_seen) {
+    // One A1 per round. A copy of the accepted one (lost past this hop and
+    // resent) is forwarded and leaves the commitments as they are; any other
+    // A1 is dropped. An older A1 relabelled to this round would otherwise
+    // replace them and get the round's genuine A2s dropped.
+    if (!round.a1.repeated_by(a1, *flow.ack, stats_.hashes)) {
+      return drop(RelayDecision::kDroppedInvalid, frame,
+                  trace::DropReason::kStaleChainIndex);
+    }
+    return forward(dir, frame);
+  }
+  if (!authenticate_announcement(*flow.ack, a1.ack_element,
+                                 a1.ack_chain_index, stats_.hashes)) {
+    return drop(RelayDecision::kDroppedInvalid, frame,
+                trace::DropReason::kStaleChainIndex);
   }
 
   if (a1.scheme == wire::AckScheme::kPreAck &&

@@ -70,7 +70,7 @@ constexpr Golden kGolden[] = {
     {"chaos_base/resealed_tampering/2",
      "d2cbda0a4a586e1b30dbde1e8bad36979a63da48b7e4fa2c0a852e4bd3b9b8eb"},
     {"chaos_base/resealed_tampering/3",
-     "6cb9630917ffafca3fca3d90eb1ded4f06a8c4353c953655eb00805a238f3529"},
+     "f2dda25b30e1b809bbc68f11a7660ddeb24cf376fd933e6433f20c4c3c0a4762"},
     {"chaos_base/reordering/1",
      "b4e1d28c921cc2b3f94e12b9b843d1ff9d83a8a38a3c2219539ce42ec91228f3"},
     {"chaos_base/reordering/2",

@@ -7,6 +7,10 @@
 // the handshake plus the round's S1 and A1, and a VerifierEngine that has
 // seen the round's S1. Tampered frames get their CRC trailer recomputed, so
 // every mutation reaches the commitment check instead of dying at decode.
+//
+// In the acknowledgment direction a relay holds one A1 per round: an older
+// A1 relabelled to a later round must neither pass nor replace the round's
+// commitments, or the round's genuine A2s would be dropped.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -55,6 +59,7 @@ struct Recording {
   std::vector<Bytes> s1;               // per round
   std::vector<Bytes> a1;               // per round
   std::vector<std::vector<Bytes>> s2;  // per round, per message
+  std::vector<std::vector<Bytes>> a2;  // per round, per message (reliable)
 };
 
 Recording record(const Config& config, std::uint64_t seed) {
@@ -66,7 +71,7 @@ Recording record(const Config& config, std::uint64_t seed) {
       hashchain::HashChain::generate(config.algo,
                                      hashchain::ChainTagging::kRoleBound, rng,
                                      config.chain_length),
-      {}, {}, {}};
+      {}, {}, {}, {}};
 
   std::deque<std::pair<bool, Bytes>> queue;  // (toward verifier, frame)
   SignerEngine::Callbacks scb;
@@ -87,6 +92,7 @@ Recording record(const Config& config, std::uint64_t seed) {
       signer.submit(Bytes(text.begin(), text.end()), 0);
     }
     rec.s2.emplace_back();
+    rec.a2.emplace_back();
     while (!queue.empty()) {
       auto [toward_verifier, frame] = std::move(queue.front());
       queue.pop_front();
@@ -104,6 +110,7 @@ Recording record(const Config& config, std::uint64_t seed) {
           verifier.on_s2(*wire::parse_s2(frame));
           break;
         case wire::PacketType::kA2:
+          rec.a2.back().push_back(frame);
           signer.on_a2(std::get<wire::A2Packet>(*wire::decode(frame)), 0);
           break;
         default:
@@ -144,15 +151,10 @@ struct Verdict {
   bool delivered = false;  // verifier authenticated and delivered it
 };
 
-/// Judges `candidate` against round `round` (0-based) of `ctx` with a fresh
-/// relay and a fresh verifier.
-Verdict judge(const Config& config, const Recording& ctx, int round,
-              const Bytes& candidate) {
-  Verdict v;
-  RelayEngine::Callbacks rcb;
-  rcb.on_extracted = [&](std::uint32_t, std::uint32_t, std::uint16_t,
-                         ByteView) { v.extracted = true; };
-  RelayEngine relay(config, {}, std::move(rcb));
+/// A relay that has seen the association's handshake.
+RelayEngine handshaken_relay(const Config& config, const Recording& ctx,
+                             RelayEngine::Callbacks callbacks = {}) {
+  RelayEngine relay(config, {}, std::move(callbacks));
   wire::HandshakePacket hs;
   hs.hdr = {kAssoc, 1};
   hs.algo = config.algo;
@@ -166,6 +168,18 @@ Verdict judge(const Config& config, const Recording& ctx, int round,
   hs.is_response = true;
   EXPECT_EQ(relay.on_frame(Direction::kReverse, hs.encode()),
             RelayDecision::kForwarded);
+  return relay;
+}
+
+/// Judges `candidate` against round `round` (0-based) of `ctx` with a fresh
+/// relay and a fresh verifier.
+Verdict judge(const Config& config, const Recording& ctx, int round,
+              const Bytes& candidate) {
+  Verdict v;
+  RelayEngine::Callbacks rcb;
+  rcb.on_extracted = [&](std::uint32_t, std::uint32_t, std::uint16_t,
+                         ByteView) { v.extracted = true; };
+  RelayEngine relay = handshaken_relay(config, ctx, std::move(rcb));
   EXPECT_EQ(relay.on_frame(Direction::kForward, ctx.s1[round]),
             RelayDecision::kForwarded);
   EXPECT_EQ(relay.on_frame(Direction::kReverse, ctx.a1[round]),
@@ -307,6 +321,78 @@ INSTANTIATE_TEST_SUITE_P(
         VerdictCase{"CumulativeMerkle", Mode::kCumulativeMerkle, 4, false},
         VerdictCase{"CumulativeMerkleReliable", Mode::kCumulativeMerkle, 4,
                     true}),
+    [](const ::testing::TestParamInfo<VerdictCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// Acknowledgment direction, for the pre-ack (base, ALPHA-C) and AMT
+// (ALPHA-M, ALPHA-C+M) schemes.
+class AckVerdict : public ::testing::TestWithParam<VerdictCase> {};
+
+/// Feeds round `round`'s S1, A1 and S2s through `relay`.
+void run_round_through(RelayEngine& relay, const Recording& rec, int round) {
+  EXPECT_EQ(relay.on_frame(Direction::kForward, rec.s1[round]),
+            RelayDecision::kForwarded);
+  EXPECT_EQ(relay.on_frame(Direction::kReverse, rec.a1[round]),
+            RelayDecision::kForwarded);
+  for (const Bytes& s2 : rec.s2[round]) {
+    EXPECT_EQ(relay.on_frame(Direction::kForward, s2),
+              RelayDecision::kForwarded);
+  }
+}
+
+TEST_P(AckVerdict, RelabelledOldA1DroppedAndGenuineA2sForwarded) {
+  // Round 1's A1 relabelled to round 2 and resealed: its element is older
+  // than round 2's, so a relay that derived it forward from round 2's would
+  // forward it and take its commitments, then drop round 2's genuine A2s.
+  // The signer refuses it (announcements must be fresh); so must the relay.
+  const Config config = make_config(GetParam());
+  const Recording rec = record(config, 1);
+  ASSERT_EQ(rec.a2[1].size(), config.effective_batch());
+  RelayEngine relay = handshaken_relay(config, rec);
+  run_round_through(relay, rec, 0);
+  run_round_through(relay, rec, 1);
+  const auto seq = wire::peek_header(rec.s1[1])->seq;
+  EXPECT_NE(relay.on_frame(Direction::kReverse, with_seq(rec.a1[0], seq)),
+            RelayDecision::kForwarded);
+  for (const Bytes& a2 : rec.a2[1]) {
+    EXPECT_EQ(relay.on_frame(Direction::kReverse, a2),
+              RelayDecision::kForwarded);
+  }
+}
+
+TEST_P(AckVerdict, ExactA1RetransmissionForwardedWithoutReplacingRound) {
+  // A verifier resends an A1 that was lost past the relay: the relay passes
+  // the copy on, and the round's A2s still match the commitments. A
+  // different A1 for the round -- the next round's, relabelled -- is not.
+  const Config config = make_config(GetParam());
+  const Recording rec = record(config, 1);
+  RelayEngine relay = handshaken_relay(config, rec);
+  run_round_through(relay, rec, 0);
+  run_round_through(relay, rec, 1);
+  EXPECT_EQ(relay.on_frame(Direction::kReverse, rec.a1[0]),
+            RelayDecision::kForwarded);
+  EXPECT_EQ(relay.on_frame(Direction::kReverse, rec.a1[1]),
+            RelayDecision::kForwarded);
+  const auto seq0 = wire::peek_header(rec.s1[0])->seq;
+  EXPECT_NE(relay.on_frame(Direction::kReverse, with_seq(rec.a1[1], seq0)),
+            RelayDecision::kForwarded);
+  for (int round = 0; round < 2; ++round) {
+    for (const Bytes& a2 : rec.a2[round]) {
+      EXPECT_EQ(relay.on_frame(Direction::kReverse, a2),
+                RelayDecision::kForwarded)
+          << "round " << round;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ReliableModes, AckVerdict,
+    ::testing::Values(
+        VerdictCase{"BasePreAck", Mode::kBase, 1, true},
+        VerdictCase{"CumulativePreAck", Mode::kCumulative, 4, true},
+        VerdictCase{"MerkleAmt", Mode::kMerkle, 4, true},
+        VerdictCase{"CumulativeMerkleAmt", Mode::kCumulativeMerkle, 4, true}),
     [](const ::testing::TestParamInfo<VerdictCase>& info) {
       return std::string(info.param.name);
     });

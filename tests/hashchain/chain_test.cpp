@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
+
+#include "crypto/counter.hpp"
+#include "crypto/cpu.hpp"
+#include "trace/prof.hpp"
 
 namespace alpha::hashchain {
 namespace {
@@ -78,6 +83,51 @@ TEST_P(ChainTest, StorageStrategiesAgree) {
       const HashChain descending{algo, tagging, seed, n};
       for (std::size_t i = n + 1; i-- > 0;) {
         ASSERT_EQ(descending.element(i), ref[i]) << "descending i=" << i;
+      }
+    }
+  }
+}
+
+TEST_P(ChainTest, GenerationMatchesHash2Reference) {
+  // Every element of a freshly built chain against a reference iterated
+  // through crypto::hash2, on both compression backends, for digest-sized
+  // seeds and a shorter one (whose first step the one-block kernel cannot
+  // take). Construction itself costs exactly one finalization and one
+  // chain_step stage entry per step.
+  const HashAlgo algo = GetParam();
+  const std::size_t h = crypto::digest_size(algo);
+  for (const bool scalar : {false, true}) {
+    std::optional<crypto::ScopedScalarCrypto> force_scalar;
+    if (scalar) force_scalar.emplace();
+    for (const auto tagging : {ChainTagging::kRoleBound, ChainTagging::kPlain}) {
+      const std::size_t tag = step_tag(tagging, 1).size();
+      for (const std::size_t seed_len : {h, h - 4}) {
+        const Bytes seed(seed_len, static_cast<std::uint8_t>(seed_len));
+        for (const std::size_t n : {2u, 4u, 10u, 64u, 1022u, 1024u, 6144u}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "scalar=" << scalar << " tagging="
+                       << static_cast<int>(tagging) << " seed=" << seed_len
+                       << " n=" << n);
+          trace::StageProfiler::Options opts;
+          opts.sample_every = std::size_t{1} << 20;
+          trace::StageProfiler prof(opts);
+          trace::install_profiler(&prof);
+          const crypto::ScopedHashOps ops;
+          const HashChain chain{algo, tagging, seed, n};
+          const crypto::HashOpCounts built = ops.delta();
+          trace::install_profiler(nullptr);
+          EXPECT_EQ(built.hash_finalizations, n);
+          EXPECT_EQ(built.bytes_hashed, n * (tag + h) - (h - seed_len));
+          EXPECT_EQ(prof.totals(trace::Stage::kChainStep).calls, n);
+
+          Digest ref{crypto::ByteView{seed}};
+          ASSERT_EQ(chain.element(0), ref);
+          for (std::size_t i = 1; i <= n; ++i) {
+            ref = crypto::hash2(algo, step_tag(tagging, i), ref.view());
+            ASSERT_EQ(chain.element(i), ref) << "i=" << i;
+          }
+          EXPECT_EQ(chain.anchor(), ref);
+        }
       }
     }
   }
